@@ -20,9 +20,10 @@
 //                        it toward the configured base (additive) — so
 //                        shedding engages from measured delay, not just
 //                        occupancy
-//   EDF drain            workers drain deque spines earliest-deadline-
-//                        first and eagerly expire already-dead requests on
-//                        every spine before they occupy batch slots
+//   EDF batching         each collected window is ordered earliest-
+//                        deadline-first, and already-dead requests are
+//                        eagerly expired as they leave the ring, before
+//                        they occupy batch slots
 //   brownout             under sustained overload, kBatch work may be
 //                        downshifted to a cheaper configuration (single
 //                        precision and/or reduced lattice steps) whose

@@ -1,9 +1,7 @@
 #include "core/service/pricing_service.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
 #include <exception>
 #include <sstream>
 #include <utility>
@@ -37,25 +35,6 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point from,
 /// one can delay progress.
 constexpr std::chrono::milliseconds kIdleNap{2};
 constexpr std::chrono::milliseconds kBackpressureNap{1};
-
-/// The lock-free ring's physical capacity: next power of two covering
-/// queue_capacity, raisable via BINOPT_SERVICE_RING_CAPACITY (strictly
-/// validated — a typo'd knob must fail loudly, not silently misconfigure
-/// the spine). The admission credit still bounds logical occupancy to
-/// queue_capacity.
-std::size_t ring_capacity_for(std::size_t queue_capacity) {
-  std::size_t want = queue_capacity;
-  if (const char* env = std::getenv("BINOPT_SERVICE_RING_CAPACITY")) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    BINOPT_REQUIRE(end != env && *end == '\0' && errno == 0 && parsed >= 1,
-                   "BINOPT_SERVICE_RING_CAPACITY must be a positive "
-                   "integer, got '", env, "'");
-    want = std::max<std::size_t>(want, static_cast<std::size_t>(parsed));
-  }
-  return service::next_pow2(want);
-}
 
 /// RAII registration of a submitter inside admission; the destructor
 /// spins on this count so no push can land after teardown.
@@ -164,9 +143,15 @@ PricingService::PricingService(ServiceConfig config)
     controller_.emplace(config_.overload, config_.queue_capacity);
   }
 
-  const std::size_t ring_capacity = ring_capacity_for(config_.queue_capacity);
-  if (config_.hot_path == HotPath::kLockFree && !router_.has_value()) {
-    ring_.emplace(ring_capacity);
+  // One shared ring, or one per worker under routing. The admission
+  // credit bounds the rings' total occupancy to queue_capacity, so any one
+  // ring never needs more than next_pow2(queue_capacity) slots.
+  const std::size_t ring_capacity = service::next_pow2(config_.queue_capacity);
+  const std::size_t ring_count =
+      router_.has_value() ? config_.targets.size() : 1;
+  for (std::size_t i = 0; i < ring_count; ++i) {
+    rings_.push_back(
+        std::make_unique<service::MpmcRing<Request*>>(ring_capacity));
   }
   // Arena bound: everything that can hold a slot at once — the queued
   // population, every worker's in-flight batch, and a margin of
@@ -219,29 +204,12 @@ PricingService::~PricingService() {
   const auto error = std::make_exception_ptr(
       ServiceShutdownError("pricing service is shutting down"));
   Request* request = nullptr;
-  for (auto& worker : workers_) {
-    const std::lock_guard<std::mutex> lock(worker->route_mutex);
-    for (Request* r : worker->routed_queue) {
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-      fail(*r, error);
-      release_request(r);
-    }
-    worker->routed_queue.clear();
-  }
-  if (ring_.has_value()) {
-    while (ring_->try_pop(request)) {
+  for (auto& ring : rings_) {
+    while (ring->try_pop(request)) {
       queue_count_.fetch_sub(1, std::memory_order_acq_rel);
       fail(*request, error);
       release_request(request);
     }
-  } else {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    for (Request* r : mutex_queue_) {
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-      fail(*r, error);
-      release_request(r);
-    }
-    mutex_queue_.clear();
   }
   {
     const std::lock_guard<std::mutex> lock(retry_mutex_);
@@ -651,24 +619,17 @@ PricingService::AdmitOutcome PricingService::admit_one(Request* request) {
     });
   }
   settle_block(std::chrono::steady_clock::now());
+  std::size_t ring = 0;
   if (router_.has_value()) {
-    // Routed spine: the request was stamped with its placement just before
-    // admission; deliver it to that worker's private queue and account the
-    // backlog so subsequent picks see it.
-    Worker& worker = *workers_[request->routed_worker];
-    {
-      const std::lock_guard<std::mutex> lock(worker.route_mutex);
-      worker.routed_queue.push_back(request);
-    }
-    router_->on_enqueued(request->routed_worker, 1);
-  } else if (ring_.has_value()) {
-    // With a credit held the ring has logical room; a failed push only
-    // means a consumer is mid-recycle on that slot — yield and retry.
-    while (!ring_->try_push(request)) std::this_thread::yield();
-  } else {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    mutex_queue_.push_back(request);
+    // Routed: the request was stamped with its placement just before
+    // admission. The backlog is accounted before the push so a consumer's
+    // on_dequeued can never run ahead of it.
+    ring = request->routed_worker;
+    router_->on_enqueued(ring, 1);
   }
+  // With a credit held the ring has logical room; a failed push only
+  // means a consumer is mid-recycle on that slot — yield and retry.
+  while (!rings_[ring]->try_push(request)) std::this_thread::yield();
   not_empty_.notify();
   return {AdmitResult::kAdmitted};
 }
@@ -718,53 +679,28 @@ std::size_t PricingService::enqueue_requests(Request* const* requests,
   return n;
 }
 
+std::size_t PricingService::pop_ring(
+    std::size_t ring, std::chrono::steady_clock::time_point now,
+    std::vector<Request*>& out, std::size_t limit, Worker& self) {
+  std::size_t popped = 0;
+  Request* request = nullptr;
+  while (out.size() < limit && rings_[ring]->try_pop(request)) {
+    queue_count_.fetch_sub(1, std::memory_order_acq_rel);
+    if (router_.has_value()) router_->on_dequeued(ring, 1);
+    if (expired_in_queue(*request, now)) {
+      self.eager_drops.push_back(request);
+      continue;
+    }
+    out.push_back(request);
+    ++popped;
+  }
+  return popped;
+}
+
 std::size_t PricingService::pop_available(
     std::chrono::steady_clock::time_point now, std::vector<Request*>& out,
     std::size_t limit, Worker& self, bool probing) {
   std::size_t popped = 0;
-  // Armed overload layer: requests already past their deadline are
-  // eagerly dropped while scanning the queues, so a dead request never
-  // occupies an accelerator batch slot that live work could use. Drops
-  // are staged in worker scratch and resolved AFTER every spine lock is
-  // released (one shard-lock pass, then the sinks).
-  const bool armed = overload_armed_;
-  const auto expired = [&](const Request* request) {
-    return armed && request->has_deadline &&
-           deadline_expired(now, request->deadline);
-  };
-  // EDF order for the deque spines: deadlined before undeadlined,
-  // earlier deadline first, admission order as the tie-break.
-  const auto edf_less = [](const Request* a, const Request* b) {
-    return service::edf_before(
-        service::EdfKey{a->has_deadline, a->deadline, a->admitted_at},
-        service::EdfKey{b->has_deadline, b->deadline, b->admitted_at});
-  };
-  // Pops the EDF-earliest collectable entry out of a deque (linear scan —
-  // queues are bounded by queue_capacity and typically far smaller),
-  // staging expired entries as drops along the way. `on_drop` returns the
-  // dropped entry's admission credit while the spine lock is still held.
-  const auto pop_edf = [&](std::deque<Request*>& queue,
-                           auto&& on_drop) -> Request* {
-    // Sweep expired entries first (erase invalidates deque iterators, so
-    // the EDF scan runs on a clean queue afterwards).
-    for (auto it = queue.begin(); it != queue.end();) {
-      if (expired(*it)) {
-        self.eager_drops.push_back(*it);
-        it = queue.erase(it);
-        on_drop();
-      } else {
-        ++it;
-      }
-    }
-    auto best = queue.end();
-    for (auto it = queue.begin(); it != queue.end(); ++it) {
-      if (best == queue.end() || edf_less(*it, *best)) best = it;
-    }
-    if (best == queue.end()) return nullptr;
-    Request* request = *best;
-    queue.erase(best);
-    return request;
-  };
   // Ready retries first: redelivered work is older than anything fresh.
   // The atomic guard keeps the fault-free hot path off the retry lock.
   if (retry_count_.load(std::memory_order_acquire) > 0) {
@@ -774,7 +710,7 @@ std::size_t PricingService::pop_available(
          it != retry_queue_.end() && out.size() < limit;) {
       Request* request = *it;
       // Expired retries are dead regardless of their backoff window.
-      if (!stopping && expired(request)) {
+      if (!stopping && expired_in_queue(*request, now)) {
         self.eager_drops.push_back(request);
         it = retry_queue_.erase(it);
         continue;
@@ -790,82 +726,23 @@ std::size_t PricingService::pop_available(
     }
     retry_count_.store(retry_queue_.size(), std::memory_order_release);
   }
-  if (router_.has_value()) {
-    {
-      const std::lock_guard<std::mutex> lock(self.route_mutex);
-      const auto drop_credit = [&] {
-        queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-        router_->on_dequeued(self.index, 1);
-      };
-      while (out.size() < limit && !self.routed_queue.empty()) {
-        Request* request = nullptr;
-        if (armed) {
-          request = pop_edf(self.routed_queue, drop_credit);
-          if (request == nullptr) break;  // only expired entries remained
-        } else {
-          request = self.routed_queue.front();
-          self.routed_queue.pop_front();
-        }
-        out.push_back(request);
-        queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-        router_->on_dequeued(self.index, 1);
-        ++popped;
-      }
-    }
-    // A probing (quarantined) backend receives no fresh placement, so with
-    // nothing of its own it would never launch a probe and never recover:
-    // steal one queued request from a peer. The steal shows up as a
-    // misroute — honest attribution over perfect placement.
-    if (probing && out.empty()) {
-      for (const auto& peer : workers_) {
-        if (peer->index == self.index) continue;
-        const std::lock_guard<std::mutex> lock(peer->route_mutex);
-        if (peer->routed_queue.empty()) continue;
-        out.push_back(peer->routed_queue.front());
-        peer->routed_queue.pop_front();
-        queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-        router_->on_dequeued(peer->index, 1);
-        ++popped;
-        break;
-      }
-    }
-  } else if (ring_.has_value()) {
-    // The ring pops FIFO (EDF within the window happens in collect_batch's
-    // sort); expiry is still enforced here so dead requests never occupy
-    // batch slots.
-    Request* request = nullptr;
-    while (out.size() < limit && ring_->try_pop(request)) {
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-      if (expired(request)) {
-        self.eager_drops.push_back(request);
-        continue;
-      }
-      out.push_back(request);
-      ++popped;
-    }
-  } else {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    const auto drop_credit = [&] {
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-    };
-    while (out.size() < limit && !mutex_queue_.empty()) {
-      Request* request = nullptr;
-      if (armed) {
-        request = pop_edf(mutex_queue_, drop_credit);
-        if (request == nullptr) break;  // only expired entries remained
-      } else {
-        request = mutex_queue_.front();
-        mutex_queue_.pop_front();
-      }
-      out.push_back(request);
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-      ++popped;
+  // The ring pops FIFO; EDF within the window happens in collect_batch's
+  // sort.
+  const std::size_t own = router_.has_value() ? self.index : 0;
+  popped += pop_ring(own, now, out, limit, self);
+  // A probing (quarantined) backend receives no fresh placement, so with
+  // nothing of its own it would never launch a probe and never recover:
+  // steal one queued request from a peer's ring. The steal shows up as a
+  // misroute — honest attribution over perfect placement.
+  if (probing && out.empty()) {
+    for (std::size_t peer = 0; peer < rings_.size() && out.empty(); ++peer) {
+      if (peer != own) popped += pop_ring(peer, now, out, 1, self);
     }
   }
-  if (armed && !self.eager_drops.empty()) {
-    // Resolve the staged drops with every spine lock released. Their
-    // queue credits are returned here (retry-queue entries never held
-    // one — requeue() bypasses admission credits).
+  if (!self.eager_drops.empty()) {
+    // Resolve the staged drops. Their queue credits were returned at pop
+    // time (retry-queue entries never held one — requeue() bypasses
+    // admission credits).
     const auto error = std::make_exception_ptr(ServiceTimeoutError(
         "quote request expired in queue (eagerly dropped before "
         "occupying a batch slot)"));
@@ -951,12 +828,11 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
   }
   if (overload_armed_ && out.size() > 1) {
     // Deadline-aware batch formation: EDF order within the collected
-    // window. The deque spines already popped earliest-deadline-first;
-    // this sort is what makes the FIFO ring's window deadline-aware, and
-    // it keeps retry-first pops in EDF order too. Insertion sort, not
-    // std::stable_sort: it is equally stable (pop order preserved among
-    // equal keys) but allocates no merge buffer, so arming the layer
-    // keeps the zero-allocation fast path
+    // window. The rings pop FIFO; this sort is what makes each window
+    // deadline-aware, and it keeps retry-first pops in EDF order too.
+    // Insertion sort, not std::stable_sort: it is equally stable (pop
+    // order preserved among equal keys) but allocates no merge buffer, so
+    // arming the layer keeps the zero-allocation fast path
     // (tests/core/test_alloc_hotpath.cpp pins this). The window is
     // bounded by max_batch and usually far smaller, and the common case —
     // already in order — is a linear scan.
@@ -978,23 +854,19 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
   return true;
 }
 
-void PricingService::drain_routed_queue(Worker& worker) {
+void PricingService::drain_ring(Worker& worker) {
   // Failover for a freshly-opened circuit: everything placed on this
   // backend but not yet collected moves to the shared retry queue, where
   // any surviving worker picks it up immediately. The requests keep their
   // route stamp — the server that prices them counts the misroute.
   std::vector<Request*>& staged = worker.requeue_ptrs;
   staged.clear();
-  {
-    const std::lock_guard<std::mutex> lock(worker.route_mutex);
-    while (!worker.routed_queue.empty()) {
-      Request* request = worker.routed_queue.front();
-      worker.routed_queue.pop_front();
-      queue_count_.fetch_sub(1, std::memory_order_acq_rel);
-      router_->on_dequeued(worker.index, 1);
-      request->has_ready_at = false;
-      staged.push_back(request);
-    }
+  Request* request = nullptr;
+  while (rings_[worker.index]->try_pop(request)) {
+    queue_count_.fetch_sub(1, std::memory_order_acq_rel);
+    router_->on_dequeued(worker.index, 1);
+    request->has_ready_at = false;
+    staged.push_back(request);
   }
   if (staged.empty()) return;
   {
@@ -1059,14 +931,14 @@ void PricingService::worker_loop(std::size_t worker_index) {
   for (;;) {
     bool probing = false;
     // Quarantine gate: while this backend's circuit is open and the next
-    // half-open probe is not due, pull no traffic — the shared queue
+    // half-open probe is not due, pull no traffic — the shared ring
     // fails the load over to the surviving workers. Shutdown overrides
     // the gate so a broken backend cannot strand queued requests. Under
     // routing the gate first mirrors the open circuit to the router (no
     // fresh placement) and hands the already-placed backlog to the fleet.
     if (router_.has_value() && !worker.health.serving()) {
       router_->set_routable(worker.index, false);
-      drain_routed_queue(worker);
+      drain_ring(worker);
     }
     while (!stopping_.load(std::memory_order_acquire) &&
            !worker.health.serving() &&

@@ -16,14 +16,13 @@
 //                            into one accelerator run (up to max_batch,
 //                            lingering up to `linger` for stragglers)
 //   sharding                 one worker per configured Target backend, all
-//                            pulling from one FIFO — an oversized batch
-//                            naturally spreads across backends
+//                            pulling from one shared ring — an oversized
+//                            batch naturally spreads across backends
 //   fleet routing            (DESIGN.md §2.8, opt-in) ServiceConfig::router
-//                            replaces the shared FIFO with per-worker
-//                            routed queues: each admitted chunk is placed
-//                            on the backend the FleetRouter predicts
-//                            cheapest (latency, or J/option under a watts
-//                            budget), with an EWMA of model-vs-measured
+//                            gives every worker its own ring: each admitted
+//                            chunk is placed on the backend the FleetRouter
+//                            predicts cheapest (latency, or J/option under a
+//                            watts budget), with an EWMA of model-vs-measured
 //                            error correcting the predictions per launch
 //   admission control        bounded queue; submitters block (backpressure)
 //                            when it is full; per-request timeouts expire
@@ -49,16 +48,17 @@
 //
 // Hot-path architecture (DESIGN.md §2.6). Requests live in stable slots
 // leased from a slab arena (SlabArena) and travel as raw pointers — never
-// copied — through a bounded lock-free MPMC ring (MpmcRing). Submitters
-// bound the ring's logical occupancy to queue_capacity with an atomic
-// admission credit, so backpressure semantics are exactly the old mutexed
-// queue's while the push/pop themselves are CAS-only; threads park on
-// EventGates only when genuinely idle. Retries and failovers ride a small
-// mutexed side queue (they need ready_at-ordered scanning, and they are
-// rare by construction), guarded by an atomic counter so the fault-free
-// hot path never takes its lock. ServiceConfig::hot_path can pin the old
-// mutex+deque spine (HotPath::kMutex) — kept as the honest baseline the
-// throughput benchmark compares against.
+// copied — through bounded lock-free MPMC rings (MpmcRing), the service's
+// only queue type: one ring shared by every worker, or one ring per worker
+// when the router is armed. Submitters bound the rings' total logical
+// occupancy to queue_capacity with an atomic admission credit, so
+// backpressure is exact while the push/pop themselves are CAS-only;
+// threads park on EventGates only when genuinely idle. Retries and
+// failovers ride a small mutexed side queue (they need ready_at-ordered
+// scanning, and they are rare by construction), guarded by an atomic
+// counter so the fault-free hot path never takes its lock. Collection is
+// FIFO per ring; with the overload layer armed, each collected window is
+// sorted earliest-deadline-first.
 //
 // Resolution contract: every admitted request resolves EXACTLY once — with
 // a price, a typed error, or a failover to another worker — even when a
@@ -163,12 +163,6 @@ private:
 /// Sentinel: no per-request deadline.
 inline constexpr std::chrono::milliseconds kNoTimeout{-1};
 
-/// Which admission/completion spine the service runs on.
-enum class HotPath {
-  kLockFree,  ///< MPMC ring + arena slots (the default)
-  kMutex,     ///< mutex+deque spine — the benchmark baseline
-};
-
 struct ServiceConfig {
   /// One worker (and one PricingAccelerator instance) per entry; repeat a
   /// target to shard homogeneous load, mix targets to tier the fleet
@@ -181,9 +175,8 @@ struct ServiceConfig {
   /// launch whatever is queued immediately.
   std::chrono::microseconds linger{200};
   /// Bounded admission queue (in options). Submitters block when full.
-  /// The lock-free ring is sized to the next power of two >= this (or
-  /// BINOPT_SERVICE_RING_CAPACITY if larger), but the admission credit
-  /// keeps the *logical* occupancy bound exactly here.
+  /// Every ring is sized to the next power of two >= this, but the
+  /// admission credit keeps the *logical* occupancy bound exactly here.
   std::size_t queue_capacity = 8192;
   /// Deadline applied when submit() is not given one explicitly.
   /// kNoTimeout disables; 0 expires immediately (useful in tests).
@@ -213,22 +206,20 @@ struct ServiceConfig {
   /// exactly one plan per target, index-matched (an engaged-but-empty plan
   /// explicitly disarms BINOPT_OCL_FAULTS for that worker's devices).
   std::vector<ocl::faults::FaultPlan> worker_fault_plans;
-  /// Admission/completion spine; kMutex pins the pre-redesign path for
-  /// apples-to-apples benchmarking.
-  HotPath hot_path = HotPath::kLockFree;
   /// Quote-cache shard count; 0 picks automatically from cache_capacity
   /// (small caches stay one exact global LRU — see QuoteCache).
   std::size_t cache_shards = 0;
   /// Cost-based fleet routing (DESIGN.md §2.8). kOff (the default) keeps
-  /// the shared-queue spine; kLatency/kEnergyBudget give every worker a
-  /// private routed queue and place each admitted chunk on the backend the
+  /// the one shared ring; kLatency/kEnergyBudget give every worker its own
+  /// ring and place each admitted chunk on the backend the
   /// FleetRouter predicts cheapest. When left at kOff the constructor
   /// consults BINOPT_SERVICE_ROUTER (off|latency|energy). With a single
   /// target, routed prices are bit-identical to the unrouted service.
   service::RouterConfig router;
   /// Overload control (DESIGN.md §2.10): priority-class shedding at
-  /// admission, CoDel-style adaptive watermark, EDF drain with eager
-  /// expiry, and (separately opted into) accuracy-bounded brownout.
+  /// admission, CoDel-style adaptive watermark, EDF order within each
+  /// collected window with eager expiry, and (separately opted into)
+  /// accuracy-bounded brownout.
   /// Disabled by default — the null path is one branch, and behaviour and
   /// stats stay bit-identical to the pre-overload spine. Unset knobs fall
   /// back to BINOPT_SERVICE_SHED_WATERMARK /
@@ -311,9 +302,9 @@ public:
   /// spec is priced (out[i] = price of specs[i]) or rethrows the first
   /// element's error. Same admission, batching, caching, retry, and
   /// deadline semantics as submit_batch — but the completion sink is a
-  /// stack-allocated countdown instead of promise/future, so on the
-  /// lock-free hot path a steady-state call performs ZERO heap
-  /// allocations end to end (asserted by tests/core/test_alloc_hotpath.cpp).
+  /// stack-allocated countdown instead of promise/future, so a
+  /// steady-state call, routed or not, performs ZERO heap allocations end
+  /// to end (asserted by tests/core/test_alloc_hotpath.cpp).
   void price_batch_blocking(const finance::OptionSpec* specs, std::size_t n,
                             double* out);
   void price_batch_blocking(const finance::OptionSpec* specs, std::size_t n,
@@ -398,8 +389,8 @@ private:
     /// admission and brownout eligibility at pricing time. Carried but
     /// inert while the overload layer is disarmed.
     Priority priority = Priority::kNormal;
-    /// FleetRouter placement (routing only): which worker's routed queue
-    /// the request was admitted to. `has_route` survives failover so the
+    /// FleetRouter placement (routing only): which worker's ring the
+    /// request was admitted to. `has_route` survives failover so the
     /// serving worker can count the misroute and report routed_target.
     std::size_t routed_worker = 0;
     bool has_route = false;
@@ -429,9 +420,8 @@ private:
   /// One modelled backend: worker thread + stats shard + reusable batch
   /// scratch. alignas(64) (and the member alignments below) keep one
   /// worker's hot state — its stats shard a submitter merges from, its
-  /// health machine — off every other worker's cache lines: with the
-  /// queue lock gone, shard false-sharing was the next coherence
-  /// bottleneck.
+  /// health machine — off every other worker's cache lines: with no
+  /// queue lock, shard false-sharing is the next coherence bottleneck.
   struct alignas(64) Worker {
     Target target = Target::kCpuReference;
     std::size_t index = 0;  ///< worker number (trace lane tid)
@@ -447,11 +437,6 @@ private:
     alignas(64) service::BackendHealth health;
     /// Per-worker SplitMix64 state for backoff jitter.
     std::uint64_t rng = 0;
-    /// Private routed queue (routing only): admission pushes here instead
-    /// of the shared spine, so placement survives until collection. Own
-    /// cache line — submitters push while the owner pops.
-    alignas(64) std::mutex route_mutex;
-    std::deque<Request*> routed_queue BINOPT_GUARDED_BY(route_mutex);
     /// Lazily-built CPU-reference fallback for degrade_to_cpu.
     std::unique_ptr<PricingAccelerator> fallback;
     /// Lazily-built reduced-fidelity sibling for brownout (DESIGN.md
@@ -475,8 +460,8 @@ private:
     std::vector<std::size_t> to_brownout;  ///< positions into batch (§2.10)
     std::vector<finance::OptionSpec> brownout_specs;
     std::vector<double> brownout_prices;
-    /// Expired requests found while scanning the queues (armed overload
-    /// layer only): staged here so resolution happens outside spine locks.
+    /// Expired requests popped from a ring (armed overload layer only):
+    /// staged here and resolved once the pop pass is done.
     std::vector<Request*> eager_drops;
     std::vector<finance::OptionSpec> specs;
     std::vector<std::uint32_t> tags;  ///< cache tags parallel to `specs`
@@ -532,8 +517,9 @@ private:
   /// Admits one request: sheds at the class watermark when the overload
   /// layer is armed, otherwise blocks on backpressure until a credit
   /// frees (honouring the request's own deadline while blocked), then
-  /// publishes the pointer on the configured spine. On anything but
-  /// kAdmitted the request was NOT queued and the caller resolves it.
+  /// publishes the pointer on its ring: rings_[routed_worker] when routing
+  /// is armed, else the shared rings_[0]. On anything but kAdmitted the
+  /// request was NOT queued and the caller resolves it.
   AdmitOutcome admit_one(Request* request);
 
   /// Admits requests[0..n) in order, blocking per element (backpressure is
@@ -546,14 +532,33 @@ private:
                                AdmitOutcome* abort = nullptr);
 
   /// Non-blocking: moves every currently-collectable request (ready
-  /// retries first, then the caller's own routed queue when routing is on,
-  /// else main-queue FIFO) into `out`, up to `limit` total. A quarantined
-  /// worker probing with nothing of its own steals one request from a
-  /// peer's routed queue so recovery probes never starve. Returns the
-  /// number popped.
+  /// retries first, then the caller's ring in FIFO order) into `out`, up to
+  /// `limit` total. A quarantined worker probing with nothing of its own
+  /// steals one request from a peer's ring so recovery probes never
+  /// starve. Returns the number popped.
   std::size_t pop_available(std::chrono::steady_clock::time_point now,
                             std::vector<Request*>& out, std::size_t limit,
                             Worker& self, bool probing);
+
+  /// Armed overload layer only: the request sat queued past its deadline
+  /// and is dropped at collection instead of occupying a batch slot.
+  [[nodiscard]] bool expired_in_queue(
+      const Request& request,
+      std::chrono::steady_clock::time_point now) const {
+    return overload_armed_ && request.has_deadline &&
+           deadline_expired(now, request.deadline);
+  }
+
+  /// Pops rings_[ring] FIFO into `out` until it holds `limit` requests or
+  /// the ring is empty, returning each popped request's admission credit
+  /// and router backlog. With the overload layer armed, requests already
+  /// past their deadline are staged in self.eager_drops instead, so a dead
+  /// request never occupies a batch slot. Returns how many landed in
+  /// `out`.
+  std::size_t pop_ring(std::size_t ring,
+                       std::chrono::steady_clock::time_point now,
+                       std::vector<Request*>& out, std::size_t limit,
+                       Worker& self);
 
   /// True when a retry is collectable right now (cheap atomic check
   /// first; takes the retry lock only when retries exist).
@@ -566,10 +571,10 @@ private:
   bool collect_batch(Worker& self, std::vector<Request*>& out,
                      std::size_t limit, bool probing);
 
-  /// Routing only: hands a quarantined worker's routed backlog to the
+  /// Routing only: hands a quarantined worker's ring backlog to the
   /// surviving fleet via the retry queue (failover semantics) so placement
   /// never strands requests behind an open circuit.
-  void drain_routed_queue(Worker& worker);
+  void drain_ring(Worker& worker);
 
   /// Internal redelivery (retry / failover): pushes requests onto the
   /// mutexed side queue, bypassing the admission capacity bound — workers
@@ -584,23 +589,22 @@ private:
   ServiceConfig config_;
   service::QuoteCache cache_;
   /// Engaged when config_.router names an active policy (directly or via
-  /// BINOPT_SERVICE_ROUTER); nullopt keeps the shared-queue spine.
+  /// BINOPT_SERVICE_ROUTER); nullopt keeps the one shared ring.
   std::optional<service::FleetRouter> router_;
   ocl::trace::Tracer* tracer_ = nullptr;
   std::uint32_t trace_pid_ = 0;
   std::vector<std::unique_ptr<Worker>> workers_;
 
   /// Stable storage for every in-flight request (see SlabArena); sized to
-  /// cover the ring + all workers' batches + blocked submitters.
+  /// cover the queued population + all workers' batches + blocked
+  /// submitters.
   std::optional<service::SlabArena<Request>> arena_;
-  /// Lock-free spine (HotPath::kLockFree).
-  std::optional<service::MpmcRing<Request*>> ring_;
-  /// Mutex spine (HotPath::kMutex) — the benchmark baseline.
-  mutable std::mutex queue_mutex_;
-  std::deque<Request*> mutex_queue_ BINOPT_GUARDED_BY(queue_mutex_);
+  /// The admission rings: one shared by every worker, or one per worker
+  /// (index-matched) when the router is armed.
+  std::vector<std::unique_ptr<service::MpmcRing<Request*>>> rings_;
 
-  /// Admission credits: logical main-queue occupancy, bounded by
-  /// queue_capacity regardless of the ring's rounded-up size. On its own
+  /// Admission credits: logical occupancy summed over rings_, bounded by
+  /// queue_capacity regardless of the rings' rounded-up size. On its own
   /// cache line — every submitter CASes it.
   alignas(64) std::atomic<std::size_t> queue_count_{0};
   /// Pending retries/failovers; lets the hot path skip the retry lock.

@@ -1,10 +1,11 @@
 // Zero-allocation gate for the service hot path (DESIGN.md §2.6).
 //
 // This binary replaces the global allocation operators with counting
-// versions and asserts that, after warmup, a price_batch_blocking call on
-// the lock-free spine performs NO heap allocation end to end: admission
-// (arena slot + ring push), batching (reused worker scratch), pricing
-// (BatchPricer's reused lanes), and resolution (stack SyncGroup). It is a
+// versions and asserts that, after warmup, a price_batch_blocking call
+// performs NO heap allocation end to end, with or without the fleet
+// router: admission (arena slot + ring push), batching (reused worker
+// scratch), pricing (BatchPricer's reused lanes), and resolution (stack
+// SyncGroup). It is a
 // separate test binary so the hooks cannot perturb the other suites or
 // the ThreadSanitizer job.
 #include <gtest/gtest.h>
@@ -89,7 +90,7 @@ using namespace std::chrono_literals;
 constexpr std::size_t kSteps = 64;
 constexpr std::size_t kBatch = 64;
 
-ServiceConfig hotpath_config(HotPath hot_path) {
+ServiceConfig hotpath_config(bool routed = false) {
   ServiceConfig config;
   config.targets = {Target::kCpuReference};
   config.steps = kSteps;
@@ -97,7 +98,7 @@ ServiceConfig hotpath_config(HotPath hot_path) {
   config.linger = 0us;
   config.queue_capacity = 256;
   config.cache_capacity = 0;  // cache insertions allocate by design
-  config.hot_path = hot_path;
+  if (routed) config.router.policy = service::RouterPolicy::kLatency;
   return config;
 }
 
@@ -107,7 +108,7 @@ TEST(AllocHotPath, SteadyStateBlockingBatchMakesZeroHeapAllocations) {
                              /*compute_rmse=*/false});
   const std::vector<double> expected = direct.run(specs).prices;
 
-  PricingService service(hotpath_config(HotPath::kLockFree));
+  PricingService service(hotpath_config());
   std::vector<double> out(specs.size(), 0.0);
 
   // Warmup: lazily builds the worker's BatchPricer, reserves all scratch,
@@ -135,14 +136,47 @@ TEST(AllocHotPath, SteadyStateBlockingBatchMakesZeroHeapAllocations) {
   ASSERT_EQ(out, expected);
 }
 
+TEST(AllocHotPath, RoutedSteadyStateBlockingBatchMakesZeroHeapAllocations) {
+  // The routed path places each chunk on a worker's own ring: the router
+  // pick, the backlog accounting, and the model-vs-measured feedback must
+  // all stay off the heap too.
+  const auto specs = finance::make_curve_batch(kBatch);
+  PricingAccelerator direct({Target::kCpuReference, kSteps,
+                             /*compute_rmse=*/false});
+  const std::vector<double> expected = direct.run(specs).prices;
+
+  PricingService service(hotpath_config(/*routed=*/true));
+  std::vector<double> out(specs.size(), 0.0);
+  for (int i = 0; i < 200; ++i) {
+    service.price_batch_blocking(specs.data(), specs.size(), out.data());
+  }
+
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  constexpr int kMeasuredReps = 100;
+  for (int i = 0; i < kMeasuredReps; ++i) {
+    service.price_batch_blocking(specs.data(), specs.size(), out.data());
+  }
+  const std::uint64_t after =
+      g_heap_allocations.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " allocations across " << kMeasuredReps
+      << " routed blocking batches of " << specs.size();
+  ASSERT_EQ(out, expected);
+  EXPECT_EQ(service.stats().requests_routed,
+            (200u + kMeasuredReps) * specs.size());
+}
+
 TEST(AllocHotPath, BlockingBatchMatchesFutureApisOnBothSpines) {
   const auto specs = finance::make_curve_batch(48);
   PricingAccelerator direct({Target::kCpuReference, kSteps,
                              /*compute_rmse=*/false});
   const std::vector<double> expected = direct.run(specs).prices;
 
-  for (const HotPath hot_path : {HotPath::kLockFree, HotPath::kMutex}) {
-    PricingService service(hotpath_config(hot_path));
+  // Both ring layouts: one shared ring, and one ring per routed worker.
+  for (const bool routed : {false, true}) {
+    PricingService service(hotpath_config(routed));
     std::vector<double> blocking(specs.size(), 0.0);
     service.price_batch_blocking(specs.data(), specs.size(), blocking.data());
     EXPECT_EQ(blocking, expected);
@@ -167,7 +201,7 @@ TEST(AllocHotPath, ArmedOverloadLayerUnderTheWatermarkStaysZeroAlloc) {
                              /*compute_rmse=*/false});
   const std::vector<double> expected = direct.run(specs).prices;
 
-  ServiceConfig config = hotpath_config(HotPath::kLockFree);
+  ServiceConfig config = hotpath_config();
   config.overload.shed_watermark = 0.9;    // 230 of 256: never reached
   config.overload.sojourn_target = 50ms;   // never exceeded either
   PricingService service(std::move(config));
@@ -202,7 +236,7 @@ TEST(AllocHotPath, StatsStillTrackZeroAllocTraffic) {
   // kSync requests must feed the same counters/histograms as the
   // promise-based sinks — observability cannot be the price of zero-alloc.
   const auto specs = finance::make_curve_batch(32);
-  PricingService service(hotpath_config(HotPath::kLockFree));
+  PricingService service(hotpath_config());
   std::vector<double> out(specs.size(), 0.0);
   service.price_batch_blocking(specs.data(), specs.size(), out.data());
 

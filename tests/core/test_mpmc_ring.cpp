@@ -2,7 +2,7 @@
 // order, wraparound over many laps, full/empty boundaries, and
 // multi-producer multi-consumer delivery with neither losses nor
 // duplicates. test_core is part of the ThreadSanitizer CI job, so the
-// stress tests double as race checks of the lock-free hot-path
+// stress tests double as race checks of the lock-free hot path
 // primitives.
 #include <gtest/gtest.h>
 

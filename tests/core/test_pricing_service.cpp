@@ -519,28 +519,6 @@ TEST(ServiceStats, HistogramsTravelThroughMergeAndMinus) {
   EXPECT_EQ(fields, 25u);
 }
 
-// --- Hot-path spine ------------------------------------------------------
-
-TEST(PricingService, MutexAndLockFreeSpinesAgreeBitwise) {
-  // The benchmark baseline (HotPath::kMutex) and the default lock-free
-  // spine must produce identical prices — the spine only moves pointers.
-  const auto batch = finance::make_curve_batch(48);
-  const std::vector<double> expected =
-      direct_prices(Target::kCpuReference, batch);
-
-  for (const HotPath hot_path : {HotPath::kLockFree, HotPath::kMutex}) {
-    ServiceConfig config = small_config(Target::kCpuReference, /*workers=*/2);
-    config.hot_path = hot_path;
-    PricingService service(config);
-    const std::vector<double> got = service.submit_batch(batch).get();
-    ASSERT_EQ(got, expected);  // bitwise-equal doubles
-
-    std::vector<double> blocking(batch.size(), -1.0);
-    service.price_batch_blocking(batch.data(), batch.size(), blocking.data());
-    ASSERT_EQ(blocking, expected);
-  }
-}
-
 TEST(PricingService, PriceBatchBlockingHonoursTimeouts) {
   ServiceConfig config = small_config(Target::kCpuReference);
   PricingService service(config);
@@ -565,14 +543,16 @@ TEST(PricingService, ShutdownMidBurstResolvesEverySubmittedFuture) {
   // 4 submitters blast 256 singles through a small-batch service, and the
   // service is destroyed while most of that burst is still queued (large
   // linger, tiny batches). Every future must resolve with a price: the
-  // destructor drains admitted work instead of dropping it. Run on both
-  // spines; under TSan this race-checks teardown against workers mid-burst.
+  // destructor drains admitted work instead of dropping it. Run on the
+  // shared ring and on routed per-worker rings; under TSan this
+  // race-checks teardown against workers mid-burst.
   const auto batch = finance::make_curve_batch(16);
-  for (const HotPath hot_path : {HotPath::kLockFree, HotPath::kMutex}) {
+  for (const auto policy :
+       {service::RouterPolicy::kOff, service::RouterPolicy::kLatency}) {
     std::vector<std::future<Quote>> futures[4];
     {
       ServiceConfig config = small_config(Target::kCpuReference, /*workers=*/2);
-      config.hot_path = hot_path;
+      config.router.policy = policy;
       config.max_batch = 4;
       config.linger = 2000us;
       PricingService service(config);
@@ -764,32 +744,37 @@ TEST(ServiceOverload, ExpiredRequestsAreEagerlyDroppedNotPriced) {
   EXPECT_EQ(stats.requests_completed, 1u);
 }
 
-TEST(ServiceOverload, EdfCollectionServesTheEarliestDeadlineFirst) {
-  // Launches 1-3 each stall 200ms, so the three requests queued behind
-  // the blocker are priced one per ~200ms window. FIFO order would reach
-  // the 500ms-deadline request last (~600ms — dead); EDF must pick it
-  // first (~400ms — live). Its survival IS the ordering assertion.
+TEST(ServiceOverload, RoutedExpiredRequestsAreEagerlyDroppedNotPriced) {
+  // The routed twin of ExpiredRequestsAreEagerlyDroppedNotPriced: a
+  // worker's own ring enforces the same eager expiry as the shared ring,
+  // because both are the one ring-pop path.
   const auto batch = finance::make_curve_batch(4);
-  ServiceConfig config =
-      stalled_config("stall@1x3,ms=200", /*queue_capacity=*/8);
-  config.hot_path = HotPath::kMutex;  // deque spine: EDF pop can reorder
-  config.overload.shed_watermark = 1.0;
+  ServiceConfig config = stalled_config("stall@1,ms=300",
+                                        /*queue_capacity=*/8,
+                                        /*max_batch=*/16);
+  config.overload.shed_watermark = 1.0;  // arm the layer; never sheds at 8
+  config.router.policy = service::RouterPolicy::kLatency;
   PricingService service(config);
 
   auto blocker = service.submit(batch[0], kNoTimeout);
   wait_until_collected(service);
-  auto fifo_head = service.submit(batch[1], kNoTimeout);
-  auto late = service.submit(batch[2], 10'000ms);
-  auto early = service.submit(batch[3], 500ms);  // FIFO tail, EDF head
+  std::vector<std::future<Quote>> doomed;
+  for (int i = 1; i <= 3; ++i) {
+    doomed.push_back(service.submit(batch[i], 50ms));
+  }
 
-  EXPECT_GT(early.get().price, 0.0);  // times out if collection is FIFO
-  EXPECT_GT(late.get().price, 0.0);
-  EXPECT_GT(fifo_head.get().price, 0.0);
   EXPECT_GT(blocker.get().price, 0.0);
+  for (auto& future : doomed) {
+    EXPECT_THROW((void)future.get(), ServiceTimeoutError);
+  }
   const auto stats = service.stats();
-  EXPECT_EQ(stats.requests_completed, 4u);
-  EXPECT_EQ(stats.requests_timed_out, 0u);
-  EXPECT_EQ(stats.eager_deadline_drops, 0u);
+  EXPECT_EQ(stats.eager_deadline_drops, 3u);
+  EXPECT_EQ(stats.requests_timed_out, 3u);
+  EXPECT_EQ(stats.admission_timeouts, 0u);
+  EXPECT_EQ(stats.options_priced, 1u);
+  EXPECT_EQ(stats.batches_launched, 1u);
+  EXPECT_EQ(stats.requests_completed, 1u);
+  EXPECT_EQ(stats.requests_routed, 1u);  // drops never reach a batch
 }
 
 TEST(ServiceOverload, BrownoutPricesBatchClassOnTheCheaperSiblingBitwise) {

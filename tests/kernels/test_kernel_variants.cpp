@@ -150,10 +150,12 @@ INSTANTIATE_TEST_SUITE_P(
         SweepCase{64, finance::OptionType::kPut, finance::ExerciseStyle::kEuropean},
         SweepCase{100, finance::OptionType::kPut, finance::ExerciseStyle::kAmerican}),
     [](const ::testing::TestParamInfo<SweepCase>& info) {
-      return "N" + std::to_string(info.param.steps) +
-             (info.param.type == finance::OptionType::kCall ? "Call" : "Put") +
-             (info.param.style == finance::ExerciseStyle::kAmerican ? "Amer"
-                                                                    : "Euro");
+      std::string name = "N";
+      name += std::to_string(info.param.steps);
+      name += info.param.type == finance::OptionType::kCall ? "Call" : "Put";
+      name += info.param.style == finance::ExerciseStyle::kAmerican ? "Amer"
+                                                                    : "Euro";
+      return name;
     });
 
 }  // namespace
