@@ -60,9 +60,44 @@ double device_payoff(MathMode mode, double sign, double s, double strike) {
   return std::max(sign * (s - strike), 0.0);
 }
 
-}  // namespace
+/// Phase layout shared by every kernel IV.B body (Figure 4 cut at its
+/// barriers): phase 0 loads the parameters and seeds the leaves; for each
+/// level t = N-1..0, an odd phase reads the old row and computes V(t,k)
+/// and the following even phase stores it (the paper's temporary-copy
+/// step: the barrier between them guarantees everyone has read the old
+/// row); the last phase writes the result. 2N+2 phases, 2N+1 barriers.
+constexpr std::size_t phase_count(std::size_t steps) { return 2 * steps + 2; }
 
-namespace {
+/// Tree level t handled by backward-iteration phase `phase` in [1, 2N].
+constexpr std::size_t phase_level(std::size_t steps, std::size_t phase) {
+  return steps - (phase + 1) / 2;
+}
+
+/// Private memory of one kernel-IV.B work-item across barriers.
+struct FpItemState {
+  // Option parameters, copied from global into private memory once,
+  // during leaf initialisation (paper Section IV-B).
+  double u = 0.0;
+  double rp = 0.0;
+  double rq = 0.0;
+  double strike = 0.0;
+  double sign = 0.0;
+  bool american = false;
+  double s_priv = 0.0;     ///< running asset price S(t,k)
+  double new_value = 0.0;  ///< V(t,k), held between compute and store
+};
+
+/// Fixed-point counterpart of FpItemState (Q17.46 words).
+struct FixedItemState {
+  fpga::PriceFixed u;
+  fpga::PriceFixed rp;
+  fpga::PriceFixed rq;
+  fpga::PriceFixed strike;
+  bool is_call = false;
+  bool american = false;
+  fpga::PriceFixed s_priv;
+  fpga::PriceFixed new_value;
+};
 
 /// Fixed-point body of kernel IV.B (MathMode::kFixedPoint): the same
 /// Figure 4 dataflow with a Q17.46 datapath. Leaves are initialised by
@@ -70,65 +105,64 @@ namespace {
 /// instantiated), and the shared value row holds raw fixed-point words.
 ocl::Kernel make_kernel_b_fixed(std::size_t steps) {
   using Fx = fpga::PriceFixed;
-  ocl::Kernel kernel;
-  kernel.name = "binomial_workgroup_option_q17_46";
-  kernel.body = [steps](ocl::WorkItemCtx& ctx, const ocl::KernelArgs& args) {
-    auto params = ctx.global<double>(args.buffer(0));
-    auto results = ctx.global<double>(args.buffer(1));
+  const std::size_t last = phase_count(steps) - 1;
+  return ocl::make_phased_kernel<FixedItemState>(
+      "binomial_workgroup_option_q17_46", phase_count(steps),
+      [steps, last](ocl::WorkItemCtx& ctx, const ocl::KernelArgs& args,
+                    std::size_t phase, FixedItemState& st) {
+        const std::size_t n = steps;
+        const std::size_t k = ctx.local_id();
+        const std::size_t option = ctx.group_id();
+        auto payoff = [&st](Fx s) {
+          const Fx intrinsic = st.is_call ? s - st.strike : st.strike - s;
+          return Fx::max(intrinsic, Fx::zero());
+        };
+        auto values = ctx.local_array<std::int64_t>(n + 1);
 
-    const std::size_t n = steps;
-    const std::size_t k = ctx.local_id();
-    const std::size_t option = ctx.group_id();
+        if (phase == 0) {
+          auto params = ctx.global<double>(args.buffer(0));
+          const std::size_t base = option * kParamStride;
+          const Fx s0 = Fx::from_double(params.get(base));
+          st.u = Fx::from_double(params.get(base + 1));
+          st.rp = Fx::from_double(params.get(base + 2));
+          st.rq = Fx::from_double(params.get(base + 3));
+          st.strike = Fx::from_double(params.get(base + 4));
+          st.is_call = params.get(base + 5) > 0.0;
+          const Fx down = Fx::from_double(params.get(base + 6));  // 1/u
+          st.american = params.get(base + 7) > 0.0;
 
-    const std::size_t base = option * 8;  // kParamStride
-    const Fx s0 = Fx::from_double(params.get(base));
-    const Fx u = Fx::from_double(params.get(base + 1));
-    const Fx rp = Fx::from_double(params.get(base + 2));
-    const Fx rq = Fx::from_double(params.get(base + 3));
-    const Fx strike = Fx::from_double(params.get(base + 4));
-    const bool is_call = params.get(base + 5) > 0.0;
-    const Fx down = Fx::from_double(params.get(base + 6));  // 1/u, host-side
-    const bool american = params.get(base + 7) > 0.0;
-
-    auto payoff = [&](Fx s) {
-      const Fx intrinsic = is_call ? s - strike : strike - s;
-      return Fx::max(intrinsic, Fx::zero());
-    };
-
-    auto values = ctx.local_array<std::int64_t>(n + 1);
-
-    // Leaf S(N,k) = S0 * u^(2k - N) by binary powering.
-    const auto nn = static_cast<long long>(n);
-    const long long e = 2 * static_cast<long long>(k) - nn;
-    Fx s_priv =
-        s0 * (e >= 0 ? Fx::ipow(u, static_cast<std::uint64_t>(e))
-                     : Fx::ipow(down, static_cast<std::uint64_t>(-e)));
-    values.set(k, payoff(s_priv).raw());
-    if (k == n - 1) {
-      const Fx s_top = s0 * Fx::ipow(u, static_cast<std::uint64_t>(n));
-      values.set(n, payoff(s_top).raw());
-    }
-    ctx.barrier();
-
-    for (std::size_t t = n; t-- > 0;) {
-      Fx new_value = Fx::zero();
-      const bool active = k <= t;
-      if (active) {
-        s_priv = s_priv * u;
-        const Fx v_down = Fx::from_raw(values.get(k));
-        const Fx v_up = Fx::from_raw(values.get(k + 1));
-        const Fx continuation = rp * v_up + rq * v_down;
-        new_value = american ? Fx::max(payoff(s_priv), continuation)
-                             : continuation;
-      }
-      ctx.barrier();
-      if (active) values.set(k, new_value.raw());
-      ctx.barrier();
-    }
-
-    if (k == 0) results.set(option, Fx::from_raw(values.get(0)).to_double());
-  };
-  return kernel;
+          // Leaf S(N,k) = S0 * u^(2k - N) by binary powering.
+          const auto nn = static_cast<long long>(n);
+          const long long e = 2 * static_cast<long long>(k) - nn;
+          st.s_priv =
+              s0 * (e >= 0 ? Fx::ipow(st.u, static_cast<std::uint64_t>(e))
+                           : Fx::ipow(down, static_cast<std::uint64_t>(-e)));
+          values.set(k, payoff(st.s_priv).raw());
+          if (k == n - 1) {
+            const Fx s_top = s0 * Fx::ipow(st.u, static_cast<std::uint64_t>(n));
+            values.set(n, payoff(s_top).raw());
+          }
+          return;
+        }
+        if (phase == last) {
+          if (k == 0) {
+            auto results = ctx.global<double>(args.buffer(1));
+            results.set(option, Fx::from_raw(values.get(0)).to_double());
+          }
+          return;
+        }
+        if (k > phase_level(n, phase)) return;  // idle above the level
+        if (phase % 2 == 1) {
+          st.s_priv = st.s_priv * st.u;
+          const Fx v_down = Fx::from_raw(values.get(k));
+          const Fx v_up = Fx::from_raw(values.get(k + 1));
+          const Fx continuation = st.rp * v_up + st.rq * v_down;
+          st.new_value = st.american ? Fx::max(payoff(st.s_priv), continuation)
+                                     : continuation;
+        } else {
+          values.set(k, st.new_value.raw());
+        }
+      });
 }
 
 }  // namespace
@@ -139,90 +173,89 @@ ocl::Kernel make_kernel_b(std::size_t steps, MathMode mode, bool host_leaves) {
                  "the fixed-point body has exact on-device leaves; the "
                  "host-leaves fallback applies to the FP datapath");
   if (mode == MathMode::kFixedPoint) return make_kernel_b_fixed(steps);
-  ocl::Kernel kernel;
-  kernel.name = host_leaves ? "binomial_workgroup_option_hostleaves"
-                            : "binomial_workgroup_option";
-  kernel.body = [steps, mode, host_leaves](ocl::WorkItemCtx& ctx,
-                                           const ocl::KernelArgs& args) {
-    // Argument layout: 0: option parameter records, 1: result buffer,
-    // 2 (host_leaves only): host-computed leaf asset prices.
-    auto params = ctx.global<double>(args.buffer(0));
-    auto results = ctx.global<double>(args.buffer(1));
+  const std::size_t last = phase_count(steps) - 1;
+  return ocl::make_phased_kernel<FpItemState>(
+      host_leaves ? "binomial_workgroup_option_hostleaves"
+                  : "binomial_workgroup_option",
+      phase_count(steps),
+      [steps, mode, host_leaves, last](ocl::WorkItemCtx& ctx,
+                                       const ocl::KernelArgs& args,
+                                       std::size_t phase, FpItemState& st) {
+        // Argument layout: 0: option parameter records, 1: result buffer,
+        // 2 (host_leaves only): host-computed leaf asset prices.
+        const std::size_t n = steps;
+        const std::size_t k = ctx.local_id();  // tree row owned by this item
+        const std::size_t option = ctx.group_id();
 
-    const std::size_t n = steps;
-    const std::size_t k = ctx.local_id();   // tree row owned by this item
-    const std::size_t option = ctx.group_id();
+        // Shared value row in local memory: V(t, 0..N).
+        auto values = ctx.local_array<double>(n + 1);
 
-    // Option parameters: copied from global into private memory once,
-    // during leaf initialisation (paper Section IV-B).
-    const std::size_t base = option * kParamStride;
-    const double s0 = params.get(base);
-    const double u = params.get(base + 1);
-    const double rp = params.get(base + 2);
-    const double rq = params.get(base + 3);
-    const double strike = params.get(base + 4);
-    const double sign = params.get(base + 5);
-    const bool american = params.get(base + 7) > 0.0;
+        if (phase == 0) {
+          auto params = ctx.global<double>(args.buffer(0));
+          const std::size_t base = option * kParamStride;
+          const double s0 = params.get(base);
+          st.u = params.get(base + 1);
+          st.rp = params.get(base + 2);
+          st.rq = params.get(base + 3);
+          st.strike = params.get(base + 4);
+          st.sign = params.get(base + 5);
+          st.american = params.get(base + 7) > 0.0;
 
-    // Shared value row in local memory: V(t, 0..N).
-    auto values = ctx.local_array<double>(n + 1);
-
-    double s_priv = 0.0;
-    if (host_leaves) {
-      // Fallback path (Section V-C): leaves came from the host through
-      // global memory and are copied into local — exact, but with extra
-      // transfers and global reads "to the detriment of speed".
-      auto leaves = ctx.global<double>(args.buffer(2));
-      const std::size_t leaf_base = option * (n + 1);
-      s_priv = leaves.get(leaf_base + k);
-      values.set(k, device_payoff(mode, sign, s_priv, strike));
-      if (k == n - 1) {
-        const double s_top = leaves.get(leaf_base + n);
-        values.set(n, device_payoff(mode, sign, s_top, strike));
-      }
-    } else {
-      // Leaf initialisation on the device: S(N,k) = S0 * u^(2k - N) via
-      // the pow operator — the FPGA accuracy story starts here.
-      const double exponent =
-          2.0 * static_cast<double>(k) - static_cast<double>(n);
-      s_priv = device_mul(mode, s0, device_pow(mode, u, exponent));
-      values.set(k, device_payoff(mode, sign, s_priv, strike));
-      if (k == n - 1) {
-        // Group size is N, leaves are N+1: the last work-item also seeds
-        // the all-up leaf.
-        const double s_top = device_mul(
-            mode, s0, device_pow(mode, u, static_cast<double>(n)));
-        values.set(n, device_payoff(mode, sign, s_top, strike));
-      }
-    }
-    ctx.barrier();
-
-    // Backward iteration: work-item k updates V(t,k) while k <= t, going
-    // idle afterwards ("left idle or its results are ignored").
-    for (std::size_t t = n; t-- > 0;) {
-      double new_value = 0.0;
-      const bool active = k <= t;
-      if (active) {
-        s_priv = device_mul(mode, s_priv, u);  // S(t,k) from S(t+1,k)
-        const double v_down = values.get(k);
-        const double v_up = values.get(k + 1);
-        const double continuation =
-            device_continuation(mode, rp, v_up, rq, v_down);
-        new_value = american
-                        ? std::max(device_payoff(mode, sign, s_priv, strike),
-                                   continuation)
-                        : continuation;
-      }
-      // First barrier: everyone has read the old row (the paper's
-      // temporary-copy step); second: the row is consistently updated.
-      ctx.barrier();
-      if (active) values.set(k, new_value);
-      ctx.barrier();
-    }
-
-    if (k == 0) results.set(option, values.get(0));
-  };
-  return kernel;
+          if (host_leaves) {
+            // Fallback path (Section V-C): leaves came from the host
+            // through global memory and are copied into local — exact,
+            // but with extra transfers and global reads "to the detriment
+            // of speed".
+            auto leaves = ctx.global<double>(args.buffer(2));
+            const std::size_t leaf_base = option * (n + 1);
+            st.s_priv = leaves.get(leaf_base + k);
+            values.set(k, device_payoff(mode, st.sign, st.s_priv, st.strike));
+            if (k == n - 1) {
+              const double s_top = leaves.get(leaf_base + n);
+              values.set(n, device_payoff(mode, st.sign, s_top, st.strike));
+            }
+          } else {
+            // Leaf initialisation on the device: S(N,k) = S0 * u^(2k - N)
+            // via the pow operator — the FPGA accuracy story starts here.
+            const double exponent =
+                2.0 * static_cast<double>(k) - static_cast<double>(n);
+            st.s_priv = device_mul(mode, s0, device_pow(mode, st.u, exponent));
+            values.set(k, device_payoff(mode, st.sign, st.s_priv, st.strike));
+            if (k == n - 1) {
+              // Group size is N, leaves are N+1: the last work-item also
+              // seeds the all-up leaf.
+              const double s_top = device_mul(
+                  mode, s0, device_pow(mode, st.u, static_cast<double>(n)));
+              values.set(n, device_payoff(mode, st.sign, s_top, st.strike));
+            }
+          }
+          return;
+        }
+        if (phase == last) {
+          if (k == 0) {
+            auto results = ctx.global<double>(args.buffer(1));
+            results.set(option, values.get(0));
+          }
+          return;
+        }
+        // Backward iteration: work-item k updates V(t,k) while k <= t,
+        // going idle afterwards ("left idle or its results are ignored").
+        if (k > phase_level(n, phase)) return;
+        if (phase % 2 == 1) {
+          st.s_priv = device_mul(mode, st.s_priv, st.u);  // S(t,k)
+          const double v_down = values.get(k);
+          const double v_up = values.get(k + 1);
+          const double continuation =
+              device_continuation(mode, st.rp, v_up, st.rq, v_down);
+          st.new_value =
+              st.american
+                  ? std::max(device_payoff(mode, st.sign, st.s_priv, st.strike),
+                             continuation)
+                  : continuation;
+        } else {
+          values.set(k, st.new_value);
+        }
+      });
 }
 
 KernelBHostProgram::KernelBHostProgram(ocl::Device& device, Config config)

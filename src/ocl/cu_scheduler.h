@@ -4,8 +4,9 @@
 //
 // OpenCL guarantees nothing about inter-group ordering, so any assignment
 // of groups to units is a conformant schedule. Each worker owns a private
-// WorkGroupExecutor (its own fiber pool and local-memory arena — local
-// memory is per-compute-unit on real devices too) and pulls chunks of
+// WorkGroupExecutor (its own fiber pool, private-state arena and
+// local-memory arena — local memory is per-compute-unit on real devices
+// too) and pulls chunks of
 // consecutive group ids from an atomic cursor. Counters are collected in
 // per-worker RuntimeStats shards and merged on the enqueuing thread after
 // the range completes; since every counter is an unsigned sum, the merged
@@ -13,7 +14,7 @@
 //
 // Error contract: if any work-group throws, the scheduler stops handing
 // out new chunks, lets every worker drain its in-flight group (the
-// executor's abort-unwinding leaves each private fiber pool reusable),
+// executor's abort-unwinding leaves each private executor reusable),
 // and rethrows the recorded error — preferring the lowest-numbered failing
 // group, which is the error a serial run would have surfaced first — on
 // the enqueuing thread.

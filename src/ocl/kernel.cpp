@@ -43,6 +43,21 @@ std::uint64_t KernelArgs::u64(std::size_t index) const {
   return std::get<std::uint64_t>(v);
 }
 
+void Kernel::validate_form() const {
+  const bool has_body = static_cast<bool>(body);
+  BINOPT_REQUIRE(has_body || phased.has_value(), "kernel '", name,
+                 "' has no body");
+  BINOPT_REQUIRE(!(has_body && phased.has_value()), "kernel '", name,
+                 "' sets both a lambda body and a phased body");
+  if (phased.has_value()) {
+    BINOPT_REQUIRE(static_cast<bool>(phased->fn) &&
+                       phased->init_state != nullptr,
+                   "kernel '", name, "' has an empty phased body");
+    BINOPT_REQUIRE(phased->phases >= 1, "phased kernel '", name,
+                   "' needs at least one phase");
+  }
+}
+
 void KernelArgs::validate_complete() const {
   for (std::size_t i = 0; i < args_.size(); ++i) {
     BINOPT_REQUIRE(args_[i].has_value(), "kernel argument ", i,

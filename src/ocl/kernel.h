@@ -1,14 +1,25 @@
 // Kernel objects and argument binding (the simulator's cl_kernel).
 //
-// A kernel is a name plus a C++ callable invoked once per work-item with a
-// WorkItemCtx (ids, barriers, local memory) and its bound arguments.
+// A kernel is a name plus a C++ body in one of two forms:
+//   - a lambda body, invoked once per work-item with a WorkItemCtx (ids,
+//     barriers, local memory) and its bound arguments; a body that calls
+//     barrier() runs on a fiber per work-item;
+//   - a barrier-phased body: the kernel split at its barriers into a fixed
+//     number of phases, invoked once per (phase, work-item) with the
+//     work-item's private state carried across phases. The executor runs
+//     each phase as a plain loop over the group's work-items (work-item
+//     coalescing), so no fibers are involved.
 // Arguments are position-indexed like clSetKernelArg: buffers or scalars.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <new>
 #include <optional>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -43,14 +54,59 @@ private:
   std::vector<std::optional<Value>> args_;
 };
 
-/// A compiled kernel: body invoked once per work-item.
+/// A kernel body split at its barriers. Phase p of every work-item runs
+/// before phase p+1 of any work-item; between consecutive phases lies one
+/// group-wide barrier, so a kernel of `phases` phases executes phases - 1
+/// barriers per work-item. Private memory that lives across a barrier is
+/// kept in a per-work-item state object, value-initialised at the start of
+/// every work-group. Build one with make_phased_kernel.
+struct PhasedBody {
+  std::size_t phases = 0;
+  std::size_t state_bytes = 0;
+  /// Value-initialises one work-item's state in place.
+  void (*init_state)(void* state) = nullptr;
+  std::function<void(WorkItemCtx&, const KernelArgs&, std::size_t phase,
+                     void* state)>
+      fn;
+};
+
+/// A compiled kernel: exactly one of `body` (lambda form) or `phased`.
 struct Kernel {
   std::string name;
   std::function<void(WorkItemCtx&, const KernelArgs&)> body;
-  /// Kernels that never call barrier() may declare it and run on the
-  /// executor's direct-call fast path instead of fibers. A barrier()
-  /// inside such a kernel is detected and raises an error.
+  /// Lambda-form kernels that never call barrier() may declare it and run
+  /// on the executor's direct-call fast path instead of fibers. A
+  /// barrier() inside such a kernel is detected and raises an error.
   bool uses_barriers = true;
+  std::optional<PhasedBody> phased;
+
+  /// Throws unless the kernel sets exactly one body form.
+  void validate_form() const;
 };
+
+/// Builds a barrier-phased kernel: `fn(ctx, args, phase, state)` runs
+/// phase `phase` of the work-item `ctx` describes, with `state` (a
+/// State&) its private memory carried across barriers. A phased body
+/// synchronises only at phase boundaries; calling ctx.barrier() inside it
+/// raises an error.
+template <typename State, typename Fn>
+[[nodiscard]] Kernel make_phased_kernel(std::string name, std::size_t phases,
+                                        Fn fn) {
+  static_assert(std::is_trivially_destructible_v<State>,
+                "phased-kernel state is reused without destruction");
+  static_assert(alignof(State) <= alignof(std::max_align_t),
+                "phased-kernel state must not be over-aligned");
+  Kernel kernel;
+  kernel.name = std::move(name);
+  PhasedBody& phased = kernel.phased.emplace();
+  phased.phases = phases;
+  phased.state_bytes = sizeof(State);
+  phased.init_state = [](void* state) { ::new (state) State{}; };
+  phased.fn = [fn = std::move(fn)](WorkItemCtx& ctx, const KernelArgs& args,
+                                   std::size_t phase, void* state) {
+    fn(ctx, args, phase, *std::launder(static_cast<State*>(state)));
+  };
+  return kernel;
+}
 
 }  // namespace binopt::ocl

@@ -67,8 +67,7 @@ Program::Program(std::string build_options)
 
 void Program::add_kernel(Kernel kernel) {
   BINOPT_REQUIRE(!kernel.name.empty(), "kernel must be named");
-  BINOPT_REQUIRE(static_cast<bool>(kernel.body), "kernel '", kernel.name,
-                 "' has no body");
+  kernel.validate_form();
   const std::string name = kernel.name;
   BINOPT_REQUIRE(kernels_.emplace(name, std::move(kernel)).second,
                  "duplicate kernel '", name, "' in program");

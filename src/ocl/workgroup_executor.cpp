@@ -3,6 +3,9 @@
 namespace binopt::ocl {
 
 void WorkItemCtx::barrier() {
+  BINOPT_REQUIRE(group_ == nullptr || !group_->phased,
+                 "barrier() inside a phased kernel body: phased kernels "
+                 "synchronise between phases, so end the phase instead");
   BINOPT_REQUIRE(fiber_ != nullptr,
                  "barrier() in a kernel declared with uses_barriers=false "
                  "(or outside kernel execution)");
@@ -26,8 +29,7 @@ WorkGroupExecutor::WorkGroupExecutor(std::size_t local_mem_bytes,
 
 void WorkGroupExecutor::validate(const Kernel& kernel, const KernelArgs& args,
                                  NDRange range) const {
-  BINOPT_REQUIRE(static_cast<bool>(kernel.body), "kernel '", kernel.name,
-                 "' has no body");
+  kernel.validate_form();
   BINOPT_REQUIRE(range.global_size >= 1, "empty NDRange");
   BINOPT_REQUIRE(range.local_size >= 1, "work-group size must be >= 1");
   BINOPT_REQUIRE(range.local_size <= max_workgroup_size_,
@@ -70,67 +72,104 @@ void WorkGroupExecutor::run_group(const Kernel& kernel, const KernelArgs& args,
                                   RuntimeStats& stats) {
   const std::size_t n = range.local_size;
 
-  detail::GroupState group;
   if (arena_.size() < local_mem_bytes_) arena_.resize(local_mem_bytes_);
-  group.arena = arena_.data();
-  group.arena_capacity = local_mem_bytes_;
-  group.stats = &stats;
+  group_.arena = arena_.data();
+  group_.arena_capacity = local_mem_bytes_;
+  group_.arena_used = 0;
+  group_.allocs.clear();
+  group_.stats = &stats;
+  group_.analysis = nullptr;
+  group_.aborting = false;
+  group_.phased = kernel.phased.has_value();
   if (analysis_ != nullptr) {
     analysis_->begin_group(kernel.name, group_id, local_mem_bytes_);
-    group.analysis = analysis_.get();
+    group_.analysis = analysis_.get();
   }
 
-  if (!kernel.uses_barriers) {
+  WorkItemCtx ctx;
+  ctx.group_id_ = group_id;
+  ctx.local_size_ = n;
+  ctx.global_size_ = range.global_size;
+  ctx.group_ = &group_;
+
+  if (kernel.phased) {
+    run_phased_group(*kernel.phased, args, ctx);
+  } else if (!kernel.uses_barriers) {
     // Fast path: no synchronisation possible, so each work-item runs to
     // completion as a plain call. barrier() raises (fiber_ is null).
-    WorkItemCtx ctx;
-    ctx.group_id_ = group_id;
-    ctx.local_size_ = n;
-    ctx.global_size_ = range.global_size;
-    ctx.group_ = &group;
     for (std::size_t i = 0; i < n; ++i) {
       ctx.local_id_ = i;
       ctx.global_id_ = group_id * n + i;
       ctx.alloc_cursor_ = 0;
-      ctx.state_ = detail::ItemState::kRunnable;
       kernel.body(ctx, args);
     }
-    ++stats.work_groups_executed;
-    stats.work_items_executed += n;
-    return;
+  } else if (!run_fiber_group(kernel, args, ctx)) {
+    return;  // divergent group drained under the analyzer
   }
+  ++stats.work_groups_executed;
+  stats.work_items_executed += n;
+}
 
-  std::vector<WorkItemCtx> items(n);
+void WorkGroupExecutor::run_phased_group(const PhasedBody& phased,
+                                         const KernelArgs& args,
+                                         WorkItemCtx& ctx) {
+  const std::size_t n = ctx.local_size_;
+  // sizeof(State) is a multiple of alignof(State) <= alignof(max_align_t),
+  // so back-to-back states in a max_align_t array are all aligned.
+  const std::size_t stride = phased.state_bytes;
+  const std::size_t words =
+      (n * stride + sizeof(std::max_align_t) - 1) / sizeof(std::max_align_t);
+  if (state_arena_.size() < words) state_arena_.resize(words);
+  auto* states = reinterpret_cast<std::byte*>(state_arena_.data());
+  for (std::size_t i = 0; i < n; ++i) phased.init_state(states + i * stride);
+
+  // One pass per barrier region, work-items in local-id order: the order
+  // the fiber scheduler resumes them in, so results match it bit for bit.
+  for (std::size_t phase = 0; phase < phased.phases; ++phase) {
+    if (phase > 0) {
+      // The whole group crossed the barrier between the previous phase
+      // and this one.
+      group_.stats->barriers_executed += n;
+      if (analysis_ != nullptr) analysis_->advance_epoch();
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      ctx.local_id_ = i;
+      ctx.global_id_ = ctx.group_id_ * n + i;
+      ctx.alloc_cursor_ = 0;
+      phased.fn(ctx, args, phase, states + i * stride);
+    }
+  }
+}
+
+bool WorkGroupExecutor::run_fiber_group(const Kernel& kernel,
+                                        const KernelArgs& args,
+                                        const WorkItemCtx& proto) {
+  const std::size_t n = proto.local_size_;
+  std::vector<WorkItemCtx> items(n, proto);
   std::vector<Fiber*> fibers = pool_.acquire(n);
 
   for (std::size_t i = 0; i < n; ++i) {
     WorkItemCtx& ctx = items[i];
     ctx.local_id_ = i;
-    ctx.group_id_ = group_id;
-    ctx.global_id_ = group_id * n + i;
-    ctx.local_size_ = n;
-    ctx.global_size_ = range.global_size;
-    ctx.group_ = &group;
+    ctx.global_id_ = proto.group_id_ * n + i;
     ctx.fiber_ = fibers[i];
-    ctx.state_ = detail::ItemState::kRunnable;
     fibers[i]->start([&kernel, &args, &ctx] { kernel.body(ctx, args); });
   }
 
   // On any work-item exception: mark the group aborting, drain every
   // parked fiber (each unwinds via KernelAborted at its barrier), then
   // rethrow the original error. This keeps the fiber pool reusable.
-  auto drain_group = [&](std::vector<WorkItemCtx>& ctxs,
-                         std::vector<Fiber*>& fbs) {
-    group.aborting = true;
-    for (std::size_t i = 0; i < ctxs.size(); ++i) {
-      if (ctxs[i].state_ == detail::ItemState::kDone) continue;
+  auto drain_group = [&] {
+    group_.aborting = true;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (items[i].state_ == detail::ItemState::kDone) continue;
       try {
-        while (fbs[i]->resume()) {
+        while (fibers[i]->resume()) {
         }
       } catch (...) {
         // Secondary failures (including KernelAborted) are expected here.
       }
-      ctxs[i].state_ = detail::ItemState::kDone;
+      items[i].state_ = detail::ItemState::kDone;
     }
   };
 
@@ -165,8 +204,8 @@ void WorkGroupExecutor::run_group(const Kernel& kernel, const KernelArgs& args,
       if (at_barrier != 0 && finished_this_pass != 0 &&
           analysis_ != nullptr) {
         analysis_->record_barrier_divergence(at_barrier, finished_this_pass);
-        drain_group(items, fibers);
-        return;
+        drain_group();
+        return false;
       }
       BINOPT_REQUIRE(at_barrier == 0 || finished_this_pass == 0,
                      "barrier divergence in kernel '", kernel.name, "': ",
@@ -177,12 +216,10 @@ void WorkGroupExecutor::run_group(const Kernel& kernel, const KernelArgs& args,
       if (at_barrier > 0 && analysis_ != nullptr) analysis_->advance_epoch();
     }
   } catch (...) {
-    drain_group(items, fibers);
+    drain_group();
     throw;
   }
-
-  ++stats.work_groups_executed;
-  stats.work_items_executed += n;
+  return true;
 }
 
 }  // namespace binopt::ocl

@@ -1,20 +1,37 @@
 // NDRange execution engine: work-groups, work-items, barriers, local memory.
 //
-// One executor drives work-groups sequentially on the calling thread;
-// inside a group every work-item runs on a fiber and the executor
-// schedules them round-robin between barriers. This gives the paper's
-// kernel IV.B its real OpenCL semantics: all work-items of a group observe
-// local memory writes that precede a barrier.
+// One executor drives work-groups sequentially on the calling thread. A
+// kernel that synchronises runs in one of two ways:
+//
+//   - Phased (coalesced): a kernel written as barrier-delimited phases
+//     (PhasedBody, make_phased_kernel) runs each phase as a plain loop
+//     over the group's work-items, work-item 0 first — MCUDA/pocl-style
+//     work-item coalescing. Private memory that outlives a barrier lives
+//     in a per-item state arena the executor owns and reuses; there are no
+//     fibers and no per-item stacks, and a warmed-up executor allocates
+//     nothing per group. This is the production path (kernel IV.B).
+//   - Lambda on fibers: a lambda body that calls barrier() runs every
+//     work-item on a fiber, and the executor resumes items 0..n-1 in turn
+//     until each finishes or parks at its next barrier.
+//
+// The two orders are identical: a fiber pass runs exactly one barrier
+// region of each work-item, items in local-id order, which is the
+// coalesced loop's order. A kernel written both ways therefore produces
+// bit-identical results and RuntimeStats, racy kernels included, and the
+// hazard analyzer sees the same accesses in the same barrier epochs.
+// Lambda bodies that never synchronise (uses_barriers = false) run as
+// direct calls.
 //
 // Device-level parallelism (independent work-groups on parallel compute
 // units) is layered on top by ComputeUnitScheduler: each worker thread
-// owns a *private* executor — private fiber pool, private local-memory
-// arena — and pulls disjoint group ranges through execute_group(). An
+// owns a *private* executor — private fiber pool, state and local-memory
+// arenas — and pulls disjoint group ranges through execute_group(). An
 // executor instance itself is strictly single-threaded.
 //
 // Barrier contract enforced (and its violation *detected*, where real
 // OpenCL would be silently undefined): if any work-item of a group reaches
 // a barrier, every work-item must reach it before finishing the kernel.
+// Phased kernels satisfy it by construction.
 //
 // With the hazard analyzer enabled (enable_analysis), the executor also
 // maintains barrier-epoch bookkeeping: every time the whole group crosses
@@ -65,6 +82,7 @@ struct GroupState {
   RuntimeStats* stats = nullptr;
   analyzer::GroupAnalysis* analysis = nullptr;  ///< null = analyzer off
   bool aborting = false;  ///< set when a sibling work-item threw
+  bool phased = false;    ///< running a PhasedBody (barrier() is an error)
 };
 
 /// Per-work-item scheduling state.
@@ -144,7 +162,8 @@ public:
   }
 
   /// OpenCL barrier(CLK_LOCAL_MEM_FENCE): suspends this work-item until
-  /// every work-item of the group has reached the same barrier.
+  /// every work-item of the group has reached the same barrier. Lambda
+  /// bodies only: a phased body synchronises by returning from its phase.
   void barrier();
 
   /// Global-memory accessor for a bound buffer.
@@ -197,7 +216,8 @@ private:
   detail::ItemState state_ = detail::ItemState::kRunnable;
 };
 
-/// Drives a full NDRange over the fiber pool.
+/// Drives a full NDRange: phased kernels as coalesced loops, lambda
+/// kernels that synchronise over the fiber pool.
 class WorkGroupExecutor {
 public:
   WorkGroupExecutor(std::size_t local_mem_bytes, std::size_t max_workgroup_size,
@@ -240,11 +260,20 @@ public:
 private:
   void run_group(const Kernel& kernel, const KernelArgs& args, NDRange range,
                  std::size_t group_id, RuntimeStats& stats);
+  void run_phased_group(const PhasedBody& phased, const KernelArgs& args,
+                        WorkItemCtx& ctx);
+  /// Returns false when a divergent group was drained under the
+  /// analyzer (it then counts as not executed).
+  bool run_fiber_group(const Kernel& kernel, const KernelArgs& args,
+                       const WorkItemCtx& proto);
 
   std::size_t local_mem_bytes_;
   std::size_t max_workgroup_size_;
   FiberPool pool_;
   std::vector<std::byte> arena_;  ///< local-memory storage, reused per group
+  /// Phased kernels' per-work-item private state, reused per group.
+  std::vector<std::max_align_t> state_arena_;
+  detail::GroupState group_;  ///< the running group's shared state
   std::unique_ptr<analyzer::GroupAnalysis> analysis_;  ///< null = off
 };
 

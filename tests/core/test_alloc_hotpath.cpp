@@ -14,11 +14,15 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "core/accelerator.h"
 #include "core/service/pricing_service.h"
 #include "finance/workload.h"
+#include "kernels/kernel_b.h"
+#include "ocl/context.h"
+#include "ocl/workgroup_executor.h"
 
 namespace {
 // Counts every path into the heap. Relaxed is fine: the test reads the
@@ -248,6 +252,63 @@ TEST(AllocHotPath, StatsStillTrackZeroAllocTraffic) {
   EXPECT_EQ(stats.request_latency_ns.count(), specs.size());
   EXPECT_EQ(stats.queue_wait_ns.count(), specs.size());
   EXPECT_GE(stats.batches_launched, 1u);
+}
+
+TEST(AllocHotPath, PhasedKernelGroupsMakeZeroHeapAllocations) {
+  // Kernel IV.B runs as a barrier-phased kernel: after the first group has
+  // sized the executor's local-allocation log and private-state arena,
+  // every further work-group runs without touching the heap.
+  constexpr std::size_t kTreeSteps = 32;
+  constexpr std::size_t kGroups = 16;
+  ocl::Device device("alloc-test", ocl::DeviceKind::kFpga,
+                     ocl::DeviceLimits{16u << 20, 16u << 10, 64, 1});
+  ocl::Context context(device);
+  // Contents do not affect allocation; all-ones keeps the arithmetic
+  // finite (S0 = u = d = K = 1).
+  ocl::Buffer& params = context.create_buffer_of<double>(
+      kGroups * 8, ocl::MemFlags::kReadOnly, "params");
+  const std::vector<double> ones(kGroups * 8, 1.0);
+  params.write(0, std::as_bytes(std::span<const double>(ones)));
+  ocl::Buffer& results = context.create_buffer_of<double>(
+      kGroups, ocl::MemFlags::kWriteOnly, "results");
+  ocl::KernelArgs args;
+  args.set(0, &params);
+  args.set(1, &results);
+  const ocl::NDRange range{kGroups * kTreeSteps, kTreeSteps};
+
+  const ocl::Kernel phased =
+      kernels::make_kernel_b(kTreeSteps, kernels::MathMode::kFpgaApproxPow);
+  ocl::WorkGroupExecutor executor(device.limits().local_mem_bytes,
+                                  device.limits().max_workgroup_size);
+  ocl::RuntimeStats stats;
+  executor.execute_group(phased, args, range, 0, stats);  // warm-up
+
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    executor.execute_group(phased, args, range, g, stats);
+  }
+  const std::uint64_t after =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " allocations across " << kGroups
+      << " phased kernel-B work-groups";
+  EXPECT_EQ(stats.barriers_executed,
+            (kGroups + 1) * kTreeSteps * (2 * kTreeSteps + 1));
+
+  // Control: the hooks do see executor allocations — a lambda kernel that
+  // synchronises runs on fibers, which allocate per group.
+  ocl::Kernel fiber_kernel;
+  fiber_kernel.name = "fiber_barrier";
+  fiber_kernel.body = [](ocl::WorkItemCtx& ctx, const ocl::KernelArgs&) {
+    ctx.barrier();
+  };
+  executor.execute_group(fiber_kernel, args, range, 0, stats);  // warm-up
+  const std::uint64_t fiber_before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  executor.execute_group(fiber_kernel, args, range, 1, stats);
+  EXPECT_GT(g_heap_allocations.load(std::memory_order_relaxed),
+            fiber_before);
 }
 
 }  // namespace

@@ -1,0 +1,270 @@
+// Barrier-phased kernels (PhasedBody): the executor runs each phase as a
+// plain loop over the group's work-items. These tests pin the contract
+// that makes that a drop-in for fibers: the same order (so a kernel
+// written both ways gives the same bits and counters, even when it is
+// racy), the same analyzer epochs, value-initialised private state per
+// group, a descriptive error for barrier() inside a phase, and a device
+// that stays reusable after a phase throws.
+#include <gtest/gtest.h>
+
+#include <cstddef>
+#include <mutex>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "ocl/context.h"
+#include "ocl/device.h"
+#include "ocl/queue.h"
+#include "ocl/workgroup_executor.h"
+
+namespace binopt::ocl {
+namespace {
+
+constexpr std::size_t kMiB = 1024 * 1024;
+
+Device make_device(std::size_t compute_units) {
+  return Device("phased-test", DeviceKind::kFpga,
+                DeviceLimits{16 * kMiB, 16 * 1024, 64, compute_units});
+}
+
+// A deliberately racy exchange, written both ways: every round each
+// work-item reads its right neighbour's slot and overwrites its own in
+// the SAME barrier region, so the result depends on execution order.
+constexpr std::size_t kRounds = 3;
+
+Kernel racy_lambda() {
+  Kernel kernel;
+  kernel.name = "racy_exchange";
+  kernel.body = [](WorkItemCtx& ctx, const KernelArgs& args) {
+    auto out = ctx.global<double>(args.buffer(0));
+    const std::size_t n = ctx.local_size();
+    const std::size_t k = ctx.local_id();
+    auto row = ctx.local_array<double>(n);
+    row.set(k, static_cast<double>(ctx.global_id() + 1));
+    ctx.barrier();
+    double acc = 0.0;
+    for (std::size_t r = 0; r < kRounds; ++r) {
+      acc = 0.5 * acc + row.get((k + 1) % n);
+      row.set(k, acc);  // races with item k-1's read of slot k
+      ctx.barrier();
+    }
+    out.set(ctx.global_id(), row.get(k) + acc);
+  };
+  return kernel;
+}
+
+struct RacyState {
+  double acc = 0.0;
+};
+
+Kernel racy_phased() {
+  return make_phased_kernel<RacyState>(
+      "racy_exchange", kRounds + 2,
+      [](WorkItemCtx& ctx, const KernelArgs& args, std::size_t phase,
+         RacyState& st) {
+        const std::size_t n = ctx.local_size();
+        const std::size_t k = ctx.local_id();
+        auto row = ctx.local_array<double>(n);
+        if (phase == 0) {
+          row.set(k, static_cast<double>(ctx.global_id() + 1));
+        } else if (phase <= kRounds) {
+          st.acc = 0.5 * st.acc + row.get((k + 1) % n);
+          row.set(k, st.acc);
+        } else {
+          auto out = ctx.global<double>(args.buffer(0));
+          out.set(ctx.global_id(), row.get(k) + st.acc);
+        }
+      });
+}
+
+struct Launch {
+  std::vector<double> out;
+  RuntimeStats stats;
+};
+
+Launch launch(Device& device, const Kernel& kernel, NDRange range) {
+  device.reset_stats();
+  Context context(device);
+  CommandQueue queue(context);
+  Buffer& out = context.create_buffer_of<double>(range.global_size,
+                                                 MemFlags::kWriteOnly, "out");
+  KernelArgs args;
+  args.set(0, &out);
+  queue.enqueue_ndrange(kernel, args, range);
+  Launch result;
+  result.out.assign(range.global_size, 0.0);
+  queue.read<double>(out, result.out);
+  result.stats = device.stats();
+  return result;
+}
+
+TEST(PhasedExecutor, RacyKernelMatchesTheFiberScheduleBitForBit) {
+  const NDRange range{6 * 16, 16};
+  for (const std::size_t units : {1u, 3u}) {
+    Device fibers = make_device(units);
+    Device phased = make_device(units);
+    const Launch a = launch(fibers, racy_lambda(), range);
+    const Launch b = launch(phased, racy_phased(), range);
+    EXPECT_EQ(a.out, b.out) << "units=" << units;
+    EXPECT_EQ(a.stats, b.stats) << "units=" << units;
+    EXPECT_EQ(b.stats.barriers_executed, range.global_size * (kRounds + 1));
+  }
+}
+
+TEST(PhasedExecutor, AnalyzerFlagsARacyPhaseWithWorkItemAttribution) {
+  Device device = make_device(1);
+  analyzer::AnalyzerConfig config;
+  config.enabled = true;
+  device.set_analyzer(config);
+  Context context(device);
+  CommandQueue queue(context);
+
+  // Phase 1: every work-item writes local[0] with no barrier in between.
+  struct State {
+    int unused = 0;
+  };
+  const Kernel kernel = make_phased_kernel<State>(
+      "phased_write_race", 3,
+      [](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, State&) {
+        auto row = ctx.local_array<double>(ctx.local_size());
+        if (phase == 0) row.set(ctx.local_id(), 1.0);
+        if (phase == 1) row.set(0, static_cast<double>(ctx.local_id()));
+        if (phase == 2) (void)row.get(ctx.local_id());
+      });
+  KernelArgs args;
+  queue.enqueue_ndrange(kernel, args, NDRange{8, 8});
+
+  const analyzer::HazardReport& report = device.hazard_report();
+  ASSERT_GE(report.count(analyzer::HazardKind::kLocalRaceWriteWrite), 1u)
+      << report.to_string();
+  EXPECT_EQ(report.count(analyzer::HazardKind::kLocalRaceReadWrite), 0u)
+      << report.to_string();
+  const std::vector<analyzer::Hazard> hazards = report.hazards();
+  const analyzer::Hazard* race = nullptr;
+  for (const analyzer::Hazard& h : hazards) {
+    if (h.kind == analyzer::HazardKind::kLocalRaceWriteWrite) race = &h;
+  }
+  ASSERT_NE(race, nullptr);
+  EXPECT_EQ(race->kernel, "phased_write_race");
+  EXPECT_EQ(race->resource, "local[0]");
+  EXPECT_EQ(race->byte_offset, 0u);
+  // Items run in local-id order within the phase: item 1's store is the
+  // first to collide with item 0's.
+  EXPECT_EQ(race->first.work_item, 0u);
+  EXPECT_EQ(race->second.work_item, 1u);
+  EXPECT_TRUE(race->first.is_write);
+  EXPECT_TRUE(race->second.is_write);
+  EXPECT_EQ(race->first.epoch, 1u);
+  EXPECT_EQ(race->second.epoch, 1u);
+}
+
+TEST(PhasedExecutor, BarrierInsideAPhaseIsADescriptiveError) {
+  WorkGroupExecutor executor(1024, 8);
+  RuntimeStats stats;
+  struct State {
+    int unused = 0;
+  };
+  const Kernel kernel = make_phased_kernel<State>(
+      "calls_barrier", 2,
+      [](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, State&) {
+        if (phase == 1) ctx.barrier();
+      });
+  KernelArgs args;
+  try {
+    executor.execute(kernel, args, NDRange{4, 4}, stats);
+    FAIL() << "barrier() inside a phase must throw";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("phased kernel"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(PhasedExecutor, PrivateStateIsValueInitialisedForEveryGroup) {
+  struct State {
+    int phases_seen = 0;
+    double carried = 0.0;
+    bool touched = false;
+  };
+  std::vector<int> fresh_at_phase0;
+  std::vector<double> carried_at_end;
+  const Kernel kernel = make_phased_kernel<State>(
+      "state_lifecycle", 4,
+      [&](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, State& st) {
+        if (phase == 0) {
+          fresh_at_phase0.push_back(st.phases_seen == 0 && st.carried == 0.0 &&
+                                    !st.touched);
+        }
+        ++st.phases_seen;
+        st.carried += static_cast<double>(ctx.global_id() + phase);
+        st.touched = true;
+        if (phase == 3) {
+          EXPECT_EQ(st.phases_seen, 4);
+          carried_at_end.push_back(st.carried);
+        }
+      });
+  // One executor, several groups (and group sizes) in a row: the arena is
+  // reused, so stale state from the previous group would show here.
+  WorkGroupExecutor executor(1024, 16);
+  RuntimeStats stats;
+  KernelArgs args;
+  executor.execute(kernel, args, NDRange{5 * 8, 8}, stats);
+  executor.execute(kernel, args, NDRange{3 * 16, 16}, stats);
+  executor.execute(kernel, args, NDRange{4 * 2, 2}, stats);
+  ASSERT_EQ(fresh_at_phase0.size(), 40u + 48u + 8u);
+  for (const int fresh : fresh_at_phase0) EXPECT_TRUE(fresh);
+  ASSERT_EQ(carried_at_end.size(), fresh_at_phase0.size());
+  // Items run in local-id order, groups in order, per launch.
+  std::size_t i = 0;
+  for (const std::size_t global : {40u, 48u, 8u}) {
+    for (std::size_t id = 0; id < global; ++id, ++i) {
+      EXPECT_EQ(carried_at_end[i], static_cast<double>(4 * id + 6));
+    }
+  }
+  EXPECT_EQ(stats.barriers_executed, 3u * (40 + 48 + 8));
+  EXPECT_EQ(stats.work_groups_executed, 5u + 3 + 4);
+}
+
+TEST(PhasedExecutor, ThrowingPhaseRethrowsLowestGroupAndDeviceStaysReusable) {
+  const NDRange range{64 * 8, 8};
+  Device device = make_device(4);
+  const Launch before = launch(device, racy_phased(), range);
+
+  std::mutex mutex;
+  std::set<std::size_t> failed;
+  struct State {
+    int unused = 0;
+  };
+  const Kernel bad = make_phased_kernel<State>(
+      "dies_mid_phase", 3,
+      [&](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, State&) {
+        if (phase == 1 && ctx.local_id() == 3 && ctx.group_id() % 7 == 5) {
+          {
+            const std::lock_guard<std::mutex> lock(mutex);
+            failed.insert(ctx.group_id());
+          }
+          throw PreconditionError("phase failed in group " +
+                                  std::to_string(ctx.group_id()) + ";");
+        }
+      });
+  KernelArgs args;
+  try {
+    device.execute(bad, args, range);
+    FAIL() << "a throwing phase must fail the launch";
+  } catch (const PreconditionError& e) {
+    ASSERT_FALSE(failed.empty());
+    const std::string want =
+        "phase failed in group " + std::to_string(*failed.begin()) + ";";
+    EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+        << e.what();
+  }
+
+  // Same device, same executors: the next launch is bit-identical to the
+  // one before the failure.
+  const Launch after = launch(device, racy_phased(), range);
+  EXPECT_EQ(after.out, before.out);
+  EXPECT_EQ(after.stats, before.stats);
+}
+
+}  // namespace
+}  // namespace binopt::ocl

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "ocl/workgroup_executor.h"
+
 namespace binopt::ocl {
 namespace {
 
@@ -74,6 +76,43 @@ TEST(Program, RejectsDuplicatesAndAnonymousKernels) {
   anon.body = [](WorkItemCtx&, const KernelArgs&) {};
   EXPECT_THROW(program.add_kernel(anon), PreconditionError);
   EXPECT_THROW((void)program.kernel("missing"), PreconditionError);
+}
+
+TEST(Program, AcceptsExactlyOneBodyForm) {
+  Program program;
+  struct State {
+    int unused = 0;
+  };
+  program.add_kernel(make_phased_kernel<State>(
+      "phased", 2, [](WorkItemCtx&, const KernelArgs&, std::size_t, State&) {}));
+  EXPECT_TRUE(program.has_kernel("phased"));
+
+  Kernel neither;
+  neither.name = "neither";
+  EXPECT_THROW(program.add_kernel(neither), PreconditionError);
+
+  Kernel both = make_phased_kernel<State>(
+      "both", 2, [](WorkItemCtx&, const KernelArgs&, std::size_t, State&) {});
+  both.body = [](WorkItemCtx&, const KernelArgs&) {};
+  EXPECT_THROW(program.add_kernel(both), PreconditionError);
+
+  Kernel no_phases = make_phased_kernel<State>(
+      "no_phases", 0,
+      [](WorkItemCtx&, const KernelArgs&, std::size_t, State&) {});
+  EXPECT_THROW(program.add_kernel(no_phases), PreconditionError);
+  EXPECT_FALSE(program.has_kernel("neither"));
+  EXPECT_FALSE(program.has_kernel("both"));
+  EXPECT_FALSE(program.has_kernel("no_phases"));
+
+  // The executor applies the same rule at launch.
+  WorkGroupExecutor executor(1024, 8);
+  RuntimeStats stats;
+  KernelArgs args;
+  EXPECT_THROW(executor.execute(neither, args, NDRange{4, 4}, stats),
+               PreconditionError);
+  EXPECT_THROW(executor.execute(both, args, NDRange{4, 4}, stats),
+               PreconditionError);
+  EXPECT_EQ(stats.kernels_enqueued, 0u);
 }
 
 }  // namespace
