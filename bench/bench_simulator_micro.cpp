@@ -125,6 +125,35 @@ void BM_KernelBFunctional(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelBFunctional)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
 
+// The phased executor's per-call floor: an empty-state phased kernel whose
+// body only reads its local id, one group of Arg work-items through 64
+// phases. ns_per_call is wall time per (phase, work-item) body call, so
+// the dispatch cost sits next to BM_KernelBFunctional's full body.
+void BM_PhasedDispatch(benchmark::State& state) {
+  const auto group = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kPhases = 64;
+  struct Empty {};
+  const ocl::Kernel kernel = ocl::make_phased_kernel<Empty>(
+      "phased_dispatch", kPhases,
+      [](ocl::WorkItemCtx& ctx, const ocl::KernelArgs&, std::size_t, Empty&) {
+        benchmark::DoNotOptimize(ctx.local_id());
+      });
+  ocl::WorkGroupExecutor executor(1024, group);
+  ocl::RuntimeStats stats;
+  ocl::KernelArgs args;
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    executor.execute(kernel, args, ocl::NDRange{group, group}, stats);
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  const double calls = static_cast<double>(kPhases * group) *
+                       static_cast<double>(state.iterations());
+  state.counters["ns_per_call"] =
+      std::chrono::duration<double, std::nano>(t1 - t0).count() /
+      std::max(1.0, calls);
+}
+BENCHMARK(BM_PhasedDispatch)->Arg(128)->Arg(256);
+
 // Sweep the parallel compute-unit scheduler: 1, 2, 4, and
 // hardware_concurrency worker threads over the same NDRange. Reports
 // work-groups/s and the wall-clock speedup versus the 1-unit run of the

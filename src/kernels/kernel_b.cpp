@@ -113,6 +113,8 @@ ocl::Kernel make_kernel_b_fixed(std::size_t steps) {
         const std::size_t n = steps;
         const std::size_t k = ctx.local_id();
         const std::size_t option = ctx.group_id();
+        // Idle above the level: no access, so no local_array lookup.
+        if (phase != 0 && phase != last && k > phase_level(n, phase)) return;
         auto payoff = [&st](Fx s) {
           const Fx intrinsic = st.is_call ? s - st.strike : st.strike - s;
           return Fx::max(intrinsic, Fx::zero());
@@ -151,7 +153,6 @@ ocl::Kernel make_kernel_b_fixed(std::size_t steps) {
           }
           return;
         }
-        if (k > phase_level(n, phase)) return;  // idle above the level
         if (phase % 2 == 1) {
           st.s_priv = st.s_priv * st.u;
           const Fx v_down = Fx::from_raw(values.get(k));
@@ -186,6 +187,12 @@ ocl::Kernel make_kernel_b(std::size_t steps, MathMode mode, bool host_leaves) {
         const std::size_t n = steps;
         const std::size_t k = ctx.local_id();  // tree row owned by this item
         const std::size_t option = ctx.group_id();
+
+        // Backward iteration: work-item k updates V(t,k) while k <= t,
+        // going idle afterwards ("left idle or its results are ignored").
+        // An idle item makes no access, so it skips even the local_array
+        // lookup; item 0 is never idle and allocates the row in phase 0.
+        if (phase != 0 && phase != last && k > phase_level(n, phase)) return;
 
         // Shared value row in local memory: V(t, 0..N).
         auto values = ctx.local_array<double>(n + 1);
@@ -238,9 +245,6 @@ ocl::Kernel make_kernel_b(std::size_t steps, MathMode mode, bool host_leaves) {
           }
           return;
         }
-        // Backward iteration: work-item k updates V(t,k) while k <= t,
-        // going idle afterwards ("left idle or its results are ignored").
-        if (k > phase_level(n, phase)) return;
         if (phase % 2 == 1) {
           st.s_priv = device_mul(mode, st.s_priv, st.u);  // S(t,k)
           const double v_down = values.get(k);

@@ -50,7 +50,7 @@ void Kernel::validate_form() const {
   BINOPT_REQUIRE(!(has_body && phased.has_value()), "kernel '", name,
                  "' sets both a lambda body and a phased body");
   if (phased.has_value()) {
-    BINOPT_REQUIRE(static_cast<bool>(phased->fn) &&
+    BINOPT_REQUIRE(static_cast<bool>(phased->run_phase) &&
                        phased->init_state != nullptr,
                    "kernel '", name, "' has an empty phased body");
     BINOPT_REQUIRE(phased->phases >= 1, "phased kernel '", name,

@@ -5,10 +5,11 @@
 //     barriers, local memory) and its bound arguments; a body that calls
 //     barrier() runs on a fiber per work-item;
 //   - a barrier-phased body: the kernel split at its barriers into a fixed
-//     number of phases, invoked once per (phase, work-item) with the
-//     work-item's private state carried across phases. The executor runs
-//     each phase as a plain loop over the group's work-items (work-item
-//     coalescing), so no fibers are involved.
+//     number of phases, written per work-item with the item's private
+//     state carried across phases. make_phased_kernel compiles the loop
+//     over a group's work-items together with the body (work-item
+//     coalescing), so the executor makes one call per (group, phase) and
+//     no fibers are involved.
 // Arguments are position-indexed like clSetKernelArg: buffers or scalars.
 #pragma once
 
@@ -25,10 +26,9 @@
 
 #include "common/error.h"
 #include "ocl/buffer.h"
+#include "ocl/work_item.h"
 
 namespace binopt::ocl {
-
-class WorkItemCtx;  // defined in workgroup_executor.h
 
 /// Bound argument list for one kernel enqueue.
 class KernelArgs {
@@ -65,9 +65,12 @@ struct PhasedBody {
   std::size_t state_bytes = 0;
   /// Value-initialises one work-item's state in place.
   void (*init_state)(void* state) = nullptr;
-  std::function<void(WorkItemCtx&, const KernelArgs&, std::size_t phase,
-                     void* state)>
-      fn;
+  /// Runs phase `phase` of every work-item of the group `ctx` belongs to,
+  /// items 0..local_size-1 in order, moving `ctx` onto each in turn.
+  /// `states` holds the group's states, state_bytes apart.
+  std::function<void(WorkItemCtx& ctx, const KernelArgs& args,
+                     std::size_t phase, std::byte* states)>
+      run_phase;
 };
 
 /// A compiled kernel: exactly one of `body` (lambda form) or `phased`.
@@ -88,7 +91,8 @@ struct Kernel {
 /// phase `phase` of the work-item `ctx` describes, with `state` (a
 /// State&) its private memory carried across barriers. A phased body
 /// synchronises only at phase boundaries; calling ctx.barrier() inside it
-/// raises an error.
+/// raises an error. The loop over the group's work-items is instantiated
+/// here, with `fn` inlined into it.
 template <typename State, typename Fn>
 [[nodiscard]] Kernel make_phased_kernel(std::string name, std::size_t phases,
                                         Fn fn) {
@@ -102,9 +106,16 @@ template <typename State, typename Fn>
   phased.phases = phases;
   phased.state_bytes = sizeof(State);
   phased.init_state = [](void* state) { ::new (state) State{}; };
-  phased.fn = [fn = std::move(fn)](WorkItemCtx& ctx, const KernelArgs& args,
-                                   std::size_t phase, void* state) {
-    fn(ctx, args, phase, *std::launder(static_cast<State*>(state)));
+  phased.run_phase = [fn = std::move(fn)](WorkItemCtx& ctx,
+                                          const KernelArgs& args,
+                                          std::size_t phase,
+                                          std::byte* states) {
+    const std::size_t n = ctx.local_size();
+    for (std::size_t i = 0; i < n; ++i) {
+      detail::WorkItemCursor::move_to(ctx, i);
+      fn(ctx, args, phase,
+         *std::launder(reinterpret_cast<State*>(states + i * sizeof(State))));
+    }
   };
   return kernel;
 }

@@ -18,6 +18,35 @@ void WorkItemCtx::barrier() {
   if (group_->aborting) throw detail::KernelAborted{};
 }
 
+void detail::local_out_of_bounds(const char* access, std::size_t i,
+                                 std::size_t count) {
+  ::binopt::detail::raise<PreconditionError>("i < count", __FILE__, __LINE__,
+                                             "local ", access,
+                                             " out of bounds: ", i, " >= ",
+                                             count);
+}
+
+std::size_t WorkItemCtx::allocate_local(std::size_t index,
+                                        std::size_t bytes) {
+  detail::GroupState& g = *group_;
+  if (index < g.allocs.size()) {
+    const detail::LocalAlloc& a = g.allocs[index];
+    BINOPT_REQUIRE(a.bytes == bytes, "divergent local allocation: work-item ",
+                   local_id_, " requested ", bytes,
+                   " bytes, group allocated ", a.bytes);
+    return a.offset;
+  }
+  constexpr std::size_t kAlign = 16;
+  const std::size_t offset = (g.arena_used + kAlign - 1) / kAlign * kAlign;
+  BINOPT_REQUIRE(offset + bytes <= g.arena_capacity,
+                 "local memory exhausted: need ", offset + bytes,
+                 " bytes, device local size is ", g.arena_capacity);
+  g.allocs.push_back(detail::LocalAlloc{offset, bytes});
+  g.arena_used = offset + bytes;
+  if (g.analysis != nullptr) g.analysis->on_local_alloc(offset, bytes);
+  return offset;
+}
+
 WorkGroupExecutor::WorkGroupExecutor(std::size_t local_mem_bytes,
                                      std::size_t max_workgroup_size,
                                      std::size_t stack_bytes)
@@ -98,9 +127,7 @@ void WorkGroupExecutor::run_group(const Kernel& kernel, const KernelArgs& args,
     // Fast path: no synchronisation possible, so each work-item runs to
     // completion as a plain call. barrier() raises (fiber_ is null).
     for (std::size_t i = 0; i < n; ++i) {
-      ctx.local_id_ = i;
-      ctx.global_id_ = group_id * n + i;
-      ctx.alloc_cursor_ = 0;
+      detail::WorkItemCursor::move_to(ctx, i);
       kernel.body(ctx, args);
     }
   } else if (!run_fiber_group(kernel, args, ctx)) {
@@ -125,6 +152,7 @@ void WorkGroupExecutor::run_phased_group(const PhasedBody& phased,
 
   // One pass per barrier region, work-items in local-id order: the order
   // the fiber scheduler resumes them in, so results match it bit for bit.
+  // The item loop itself is compiled with the body (run_phase).
   for (std::size_t phase = 0; phase < phased.phases; ++phase) {
     if (phase > 0) {
       // The whole group crossed the barrier between the previous phase
@@ -132,12 +160,7 @@ void WorkGroupExecutor::run_phased_group(const PhasedBody& phased,
       group_.stats->barriers_executed += n;
       if (analysis_ != nullptr) analysis_->advance_epoch();
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      ctx.local_id_ = i;
-      ctx.global_id_ = ctx.group_id_ * n + i;
-      ctx.alloc_cursor_ = 0;
-      phased.fn(ctx, args, phase, states + i * stride);
-    }
+    phased.run_phase(ctx, args, phase, states);
   }
 }
 

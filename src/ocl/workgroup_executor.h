@@ -6,10 +6,13 @@
 //   - Phased (coalesced): a kernel written as barrier-delimited phases
 //     (PhasedBody, make_phased_kernel) runs each phase as a plain loop
 //     over the group's work-items, work-item 0 first — MCUDA/pocl-style
-//     work-item coalescing. Private memory that outlives a barrier lives
-//     in a per-item state arena the executor owns and reuses; there are no
-//     fibers and no per-item stacks, and a warmed-up executor allocates
-//     nothing per group. This is the production path (kernel IV.B).
+//     work-item coalescing. The item loop is compiled with the kernel
+//     body (make_phased_kernel instantiates it), so the executor makes one
+//     call per (group, phase) and the body is inlined into the loop.
+//     Private memory that outlives a barrier lives in a per-item state
+//     arena the executor owns and reuses; there are no fibers and no
+//     per-item stacks, and a warmed-up executor allocates nothing per
+//     group. This is the production path (kernel IV.B).
 //   - Lambda on fibers: a lambda body that calls barrier() runs every
 //     work-item on a fiber, and the executor resumes items 0..n-1 in turn
 //     until each finishes or parks at its next barrier.
@@ -54,167 +57,17 @@
 #include "ocl/kernel.h"
 #include "ocl/stats.h"
 #include "ocl/types.h"
+#include "ocl/work_item.h"
 
 namespace binopt::ocl {
 
-class WorkGroupExecutor;
-
 namespace detail {
-
-/// One named local-memory allocation within a group's arena.
-struct LocalAlloc {
-  std::size_t offset = 0;
-  std::size_t bytes = 0;
-};
 
 /// Thrown inside parked work-items to unwind their stacks when the group
 /// aborts (another work-item raised). Never escapes the executor.
 struct KernelAborted {};
 
-/// Per-group shared state (local arena + allocation log + barrier phase).
-/// The arena storage itself is owned by the executor and reused across
-/// groups (real local memory is likewise uninitialised between groups).
-struct GroupState {
-  std::byte* arena = nullptr;
-  std::size_t arena_capacity = 0;
-  std::size_t arena_used = 0;
-  std::vector<LocalAlloc> allocs;
-  RuntimeStats* stats = nullptr;
-  analyzer::GroupAnalysis* analysis = nullptr;  ///< null = analyzer off
-  bool aborting = false;  ///< set when a sibling work-item threw
-  bool phased = false;    ///< running a PhasedBody (barrier() is an error)
-};
-
-/// Per-work-item scheduling state.
-enum class ItemState { kRunnable, kAtBarrier, kDone };
-
 }  // namespace detail
-
-/// Typed, traffic-counted view of a local-memory array.
-template <typename T>
-class LocalSpan {
-public:
-  LocalSpan(T* data, std::size_t count, RuntimeStats& stats,
-            analyzer::GroupAnalysis* analysis = nullptr,
-            std::size_t work_item = 0, std::size_t arena_offset = 0,
-            std::size_t alloc_index = 0)
-      : data_(data),
-        count_(count),
-        stats_(&stats),
-        analysis_(analysis),
-        work_item_(work_item),
-        arena_offset_(arena_offset),
-        alloc_index_(alloc_index) {}
-
-  [[nodiscard]] std::size_t size() const { return count_; }
-
-  [[nodiscard]] T get(std::size_t i) const {
-    if (analysis_ != nullptr) {
-      // Analyzer mode: records races/uninitialised reads and suppresses
-      // out-of-bounds accesses (returning T{}) so execution continues.
-      if (!analysis_->local_read(work_item_, alloc_index_, arena_offset_, i,
-                                 count_, sizeof(T))) {
-        return T{};
-      }
-    } else {
-      BINOPT_REQUIRE(i < count_, "local load out of bounds: ", i, " >= ",
-                     count_);
-    }
-    stats_->local_load_bytes += sizeof(T);
-    return data_[i];
-  }
-
-  void set(std::size_t i, T value) {
-    if (analysis_ != nullptr) {
-      if (!analysis_->local_write(work_item_, alloc_index_, arena_offset_, i,
-                                  count_, sizeof(T))) {
-        return;
-      }
-    } else {
-      BINOPT_REQUIRE(i < count_, "local store out of bounds: ", i, " >= ",
-                     count_);
-    }
-    stats_->local_store_bytes += sizeof(T);
-    data_[i] = value;
-  }
-
-private:
-  T* data_;
-  std::size_t count_;
-  RuntimeStats* stats_;
-  analyzer::GroupAnalysis* analysis_;
-  std::size_t work_item_;
-  std::size_t arena_offset_;
-  std::size_t alloc_index_;
-};
-
-/// Execution context handed to the kernel body — the work-item's window
-/// onto ids, synchronisation, and the three OpenCL memory levels.
-class WorkItemCtx {
-public:
-  [[nodiscard]] std::size_t global_id() const { return global_id_; }
-  [[nodiscard]] std::size_t local_id() const { return local_id_; }
-  [[nodiscard]] std::size_t group_id() const { return group_id_; }
-  [[nodiscard]] std::size_t local_size() const { return local_size_; }
-  [[nodiscard]] std::size_t global_size() const { return global_size_; }
-  [[nodiscard]] std::size_t num_groups() const {
-    return global_size_ / local_size_;
-  }
-
-  /// OpenCL barrier(CLK_LOCAL_MEM_FENCE): suspends this work-item until
-  /// every work-item of the group has reached the same barrier. Lambda
-  /// bodies only: a phased body synchronises by returning from its phase.
-  void barrier();
-
-  /// Global-memory accessor for a bound buffer.
-  template <typename T>
-  [[nodiscard]] GlobalSpan<T> global(Buffer& buffer) const {
-    return GlobalSpan<T>(buffer, *group_->stats, group_->analysis, local_id_);
-  }
-
-  /// Local-memory array, shared across the group. Every work-item must
-  /// issue the same sequence of local_array calls (sizes included), which
-  /// is exactly OpenCL's static local allocation discipline.
-  template <typename T>
-  [[nodiscard]] LocalSpan<T> local_array(std::size_t count) {
-    const std::size_t bytes = count * sizeof(T);
-    detail::GroupState& g = *group_;
-    if (alloc_cursor_ < g.allocs.size()) {
-      const detail::LocalAlloc& a = g.allocs[alloc_cursor_];
-      BINOPT_REQUIRE(a.bytes == bytes,
-                     "divergent local allocation: work-item ", local_id_,
-                     " requested ", bytes, " bytes, group allocated ",
-                     a.bytes);
-      const std::size_t index = alloc_cursor_++;
-      return LocalSpan<T>(reinterpret_cast<T*>(g.arena + a.offset), count,
-                          *g.stats, g.analysis, local_id_, a.offset, index);
-    }
-    constexpr std::size_t kAlign = 16;
-    const std::size_t offset = (g.arena_used + kAlign - 1) / kAlign * kAlign;
-    BINOPT_REQUIRE(offset + bytes <= g.arena_capacity,
-                   "local memory exhausted: need ", offset + bytes,
-                   " bytes, device local size is ", g.arena_capacity);
-    g.allocs.push_back(detail::LocalAlloc{offset, bytes});
-    g.arena_used = offset + bytes;
-    const std::size_t index = alloc_cursor_++;
-    if (g.analysis != nullptr) g.analysis->on_local_alloc(offset, bytes);
-    return LocalSpan<T>(reinterpret_cast<T*>(g.arena + offset), count,
-                        *g.stats, g.analysis, local_id_, offset, index);
-  }
-
-private:
-  friend class WorkGroupExecutor;
-
-  std::size_t global_id_ = 0;
-  std::size_t local_id_ = 0;
-  std::size_t group_id_ = 0;
-  std::size_t local_size_ = 0;
-  std::size_t global_size_ = 0;
-  std::size_t alloc_cursor_ = 0;
-  detail::GroupState* group_ = nullptr;
-  Fiber* fiber_ = nullptr;
-  detail::ItemState state_ = detail::ItemState::kRunnable;
-};
 
 /// Drives a full NDRange: phased kernels as coalesced loops, lambda
 /// kernels that synchronise over the fiber pool.

@@ -109,20 +109,39 @@ std::string label(Variant v) {
   return "?";
 }
 
+/// The device's hazard report, or "" when it recorded nothing.
+std::string report_of(const ocl::Device& device) {
+  const ocl::analyzer::HazardReport& report = device.hazard_report();
+  return report.empty() ? std::string() : report.to_string();
+}
+
+/// Runs one variant; with `hazards` set, the device's hazard analyzer is
+/// armed and its report is written there.
 KernelBResult run_variant(Variant v, std::size_t steps, std::size_t cu,
-                          const std::vector<finance::OptionSpec>& batch) {
+                          const std::vector<finance::OptionSpec>& batch,
+                          std::string* hazards = nullptr) {
+  auto arm = [hazards](ocl::Device& device) {
+    if (hazards == nullptr) return;
+    ocl::analyzer::AnalyzerConfig config;
+    config.enabled = true;
+    device.set_analyzer(config);
+  };
   if (v == Variant::kQ17_46) {
     ocl::Device device("q17.46", ocl::DeviceKind::kFpga,
                        ocl::DeviceLimits{64u << 20, 16u << 10, 256, cu});
+    arm(device);
     KernelBHostProgram host(device,
                             {.steps = steps, .mode = MathMode::kFixedPoint});
-    return host.run(batch);
+    KernelBResult result = host.run(batch);
+    if (hazards != nullptr) *hazards = report_of(device);
+    return result;
   }
   const auto platform = ocl::Platform::make_reference_platform();
   const bool gpu = v == Variant::kGpuDouble || v == Variant::kGpuSingle;
   ocl::Device& device = platform->device_by_kind(gpu ? ocl::DeviceKind::kGpu
                                                      : ocl::DeviceKind::kFpga);
   device.set_compute_units(cu);
+  arm(device);
   KernelBHostProgram::Config config;
   config.steps = steps;
   config.mode = v == Variant::kGpuDouble   ? MathMode::kExactDouble
@@ -130,7 +149,9 @@ KernelBResult run_variant(Variant v, std::size_t steps, std::size_t cu,
                                            : MathMode::kFpgaApproxPow;
   config.host_leaves = v == Variant::kFpgaHostLeaves;
   KernelBHostProgram host(device, config);
-  return host.run(batch);
+  KernelBResult result = host.run(batch);
+  if (hazards != nullptr) *hazards = report_of(device);
+  return result;
 }
 
 TEST(KernelBGolden, PricesAndCountersMatchTheFiberExecutedBodies) {
@@ -145,6 +166,25 @@ TEST(KernelBGolden, PricesAndCountersMatchTheFiberExecutedBodies) {
       // One crossing per work-item per barrier, 2N+1 barriers per item.
       EXPECT_EQ(result.stats.barriers_executed,
                 batch.size() * g.steps * (2 * g.steps + 1));
+    }
+  }
+}
+
+// Every body skips idle rows before its local_array lookup, so the
+// analyzer must still see a clean, identical run: no hazard, and the
+// golden digest and counters with shadow tracking on.
+TEST(KernelBGolden, AnalyzerArmedRunsAreCleanAndMatchTheGoldens) {
+  const auto batch = finance::make_random_batch(64, 7);
+  for (const Golden& g : kGolden) {
+    for (const std::size_t cu : {1u, 3u}) {
+      SCOPED_TRACE(label(g.variant) + " steps=" + std::to_string(g.steps) +
+                   " cu=" + std::to_string(cu));
+      std::string hazards;
+      const KernelBResult result =
+          run_variant(g.variant, g.steps, cu, batch, &hazards);
+      EXPECT_TRUE(hazards.empty()) << hazards;
+      EXPECT_EQ(fnv1a_price_bits(result.prices), g.digest);
+      EXPECT_EQ(counters_of(result.stats), g.counters);
     }
   }
 }

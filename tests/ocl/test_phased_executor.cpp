@@ -1,16 +1,18 @@
 // Barrier-phased kernels (PhasedBody): the executor runs each phase as a
-// plain loop over the group's work-items. These tests pin the contract
-// that makes that a drop-in for fibers: the same order (so a kernel
-// written both ways gives the same bits and counters, even when it is
-// racy), the same analyzer epochs, value-initialised private state per
-// group, a descriptive error for barrier() inside a phase, and a device
-// that stays reusable after a phase throws.
+// plain loop over the group's work-items, compiled with the body. These
+// tests pin the contract that makes that a drop-in for fibers: the same
+// order (pinned directly, and through a kernel written both ways giving
+// the same bits and counters, even when it is racy), the same analyzer
+// epochs, value-initialised private state per group, a descriptive error
+// for barrier() inside a phase, no item after a throwing one, and a
+// device that stays reusable after a phase throws.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <mutex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ocl/context.h"
@@ -177,6 +179,114 @@ TEST(PhasedExecutor, BarrierInsideAPhaseIsADescriptiveError) {
   } catch (const PreconditionError& e) {
     EXPECT_NE(std::string(e.what()).find("phased kernel"), std::string::npos)
         << e.what();
+  }
+}
+
+// The item loop is compiled with the body, so its order is pinned here
+// directly: groups in order, and within a group `for phase { for item }`.
+TEST(PhasedExecutor, BodySeesPhasesOuterAndItemsInnerInLocalIdOrder) {
+  struct Visit {
+    std::size_t group, phase, item;
+    bool operator==(const Visit&) const = default;
+  };
+  struct State {
+    int unused = 0;
+  };
+  constexpr std::size_t kPhases = 4;
+  constexpr std::size_t kItems = 5;
+  constexpr std::size_t kGroups = 3;
+  std::vector<Visit> seen;
+  const Kernel kernel = make_phased_kernel<State>(
+      "visit_order", kPhases,
+      [&](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, State&) {
+        EXPECT_EQ(ctx.global_id(), ctx.group_id() * kItems + ctx.local_id());
+        seen.push_back({ctx.group_id(), phase, ctx.local_id()});
+      });
+  WorkGroupExecutor executor(1024, 8);
+  RuntimeStats stats;
+  KernelArgs args;
+  executor.execute(kernel, args, NDRange{kGroups * kItems, kItems}, stats);
+
+  std::vector<Visit> want;
+  for (std::size_t g = 0; g < kGroups; ++g) {
+    for (std::size_t phase = 0; phase < kPhases; ++phase) {
+      for (std::size_t item = 0; item < kItems; ++item) {
+        want.push_back({g, phase, item});
+      }
+    }
+  }
+  EXPECT_EQ(seen, want);
+}
+
+TEST(PhasedExecutor, ThrowingItemStopsTheRestOfItsPhase) {
+  struct State {
+    int unused = 0;
+  };
+  constexpr std::size_t kItems = 6;
+  constexpr std::size_t kFailPhase = 2;
+  constexpr std::size_t kFailItem = 3;
+  std::vector<std::pair<std::size_t, std::size_t>> seen;
+  const Kernel kernel = make_phased_kernel<State>(
+      "throws_mid_phase", 4,
+      [&](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, State&) {
+        seen.emplace_back(phase, ctx.local_id());
+        if (phase == kFailPhase && ctx.local_id() == kFailItem) {
+          throw PreconditionError("item failed");
+        }
+      });
+  WorkGroupExecutor executor(1024, 8);
+  RuntimeStats stats;
+  KernelArgs args;
+  EXPECT_THROW(executor.execute(kernel, args, NDRange{kItems, kItems}, stats),
+               PreconditionError);
+
+  // Every item of phases 0 and 1, then items 0..3 of phase 2: nothing
+  // after the throwing item, in its phase or later ones.
+  std::vector<std::pair<std::size_t, std::size_t>> want;
+  for (std::size_t phase = 0; phase < kFailPhase; ++phase) {
+    for (std::size_t item = 0; item < kItems; ++item) {
+      want.emplace_back(phase, item);
+    }
+  }
+  for (std::size_t item = 0; item <= kFailItem; ++item) {
+    want.emplace_back(kFailPhase, item);
+  }
+  EXPECT_EQ(seen, want);
+  EXPECT_EQ(stats.work_groups_executed, 0u);
+}
+
+TEST(PhasedExecutor, LocalOutOfBoundsIsADescriptiveError) {
+  struct State {
+    int unused = 0;
+  };
+  for (const bool store : {false, true}) {
+    const Kernel kernel = make_phased_kernel<State>(
+        "local_oob", 2,
+        [store](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase,
+                State&) {
+          auto row = ctx.local_array<double>(ctx.local_size());
+          if (phase == 0) row.set(ctx.local_id(), 1.0);
+          if (phase == 1 && ctx.local_id() == 2) {
+            if (store) {
+              row.set(ctx.local_size(), 0.0);
+            } else {
+              (void)row.get(ctx.local_size());
+            }
+          }
+        });
+    WorkGroupExecutor executor(1024, 8);
+    RuntimeStats stats;
+    KernelArgs args;
+    try {
+      executor.execute(kernel, args, NDRange{4, 4}, stats);
+      FAIL() << "an out-of-bounds local access must throw";
+    } catch (const PreconditionError& e) {
+      const std::string want = std::string("local ") +
+                               (store ? "store" : "load") +
+                               " out of bounds: 4 >= 4";
+      EXPECT_NE(std::string(e.what()).find(want), std::string::npos)
+          << e.what();
+    }
   }
 }
 
