@@ -109,21 +109,41 @@ void BM_KernelAFunctional(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelAFunctional)->Arg(32)->Arg(128)->Unit(benchmark::kMillisecond);
 
-void BM_KernelBFunctional(benchmark::State& state) {
+// Kernel IV.B through its host program: `options` options of Arg steps
+// per launch on the reference FPGA device, with `compute_units` workers
+// (0 = the device's own count). The fleet_launch row is the launch shape
+// kernel_fleet's kernel-b-fpga worker launches (16 options x 128 steps, one
+// compute unit); its ns_per_option over BM_ReferencePricer/128's time per
+// option is the simulator's cost over the scalar lattice, from one run.
+void BM_KernelBFunctional(benchmark::State& state, std::size_t options,
+                          std::size_t compute_units) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto platform = ocl::Platform::make_reference_platform();
   ocl::Device& device = platform->device_by_kind(ocl::DeviceKind::kFpga);
-  const auto batch = finance::make_random_batch(4, 3);
+  if (compute_units != 0) device.set_compute_units(compute_units);
+  const auto batch = finance::make_random_batch(options, 3);
   kernels::KernelBHostProgram host(
       device, {.steps = n, .mode = kernels::MathMode::kFpgaApproxPow});
+  const auto t0 = std::chrono::steady_clock::now();
   for (auto _ : state) {
     benchmark::DoNotOptimize(host.run(batch).prices);
   }
-  state.counters["sim_options/s"] = benchmark::Counter(
-      4.0 * static_cast<double>(state.iterations()),
-      benchmark::Counter::kIsRate);
+  const auto t1 = std::chrono::steady_clock::now();
+  const double priced = static_cast<double>(options) *
+                        static_cast<double>(state.iterations());
+  state.counters["sim_options/s"] =
+      benchmark::Counter(priced, benchmark::Counter::kIsRate);
+  state.counters["ns_per_option"] =
+      std::chrono::duration<double, std::nano>(t1 - t0).count() /
+      std::max(1.0, priced);
 }
-BENCHMARK(BM_KernelBFunctional)->Arg(64)->Arg(256)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_KernelBFunctional, paper_batch, 4, 0)
+    ->Arg(64)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_KernelBFunctional, fleet_launch, 16, 1)
+    ->Arg(128)
+    ->Unit(benchmark::kMillisecond);
 
 // The phased executor's per-call floor: an empty-state phased kernel whose
 // body only reads its local id, one group of Arg work-items through 64

@@ -780,6 +780,17 @@ bool PricingService::retry_ready(std::chrono::steady_clock::time_point now) {
 bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
                                    std::size_t limit, bool probing) {
   out.clear();
+  // Wake for work this worker can take: its own ring, a ready retry, or
+  // shutdown. A probing worker steals from its peers, so any backlog
+  // wakes it. (Waking on the global count would spin a routed worker
+  // whose ring is empty while a peer has backlog.)
+  const service::MpmcRing<Request*>& ring =
+      *rings_[router_.has_value() ? self.index : 0];
+  const auto has_work = [&] {
+    return stopping_.load(std::memory_order_relaxed) || !ring.empty_approx() ||
+           (probing && queue_count_.load(std::memory_order_relaxed) > 0) ||
+           retry_ready(std::chrono::steady_clock::now());
+  };
   for (;;) {
     const auto now = std::chrono::steady_clock::now();
     pop_available(now, out, limit, self, probing);
@@ -798,11 +809,7 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
         if (request->has_ready_at) wake = std::min(wake, request->ready_at);
       }
     }
-    not_empty_.wait_until(wake, [&] {
-      return stopping_.load(std::memory_order_relaxed) ||
-             queue_count_.load(std::memory_order_relaxed) > 0 ||
-             retry_ready(std::chrono::steady_clock::now());
-    });
+    not_empty_.wait_until(wake, has_work);
   }
 
   // Micro-batching: hold a partial batch open for up to `linger` so that a
@@ -815,11 +822,7 @@ bool PricingService::collect_batch(Worker& self, std::vector<Request*>& out,
         std::chrono::steady_clock::now() + config_.linger;
     while (out.size() < limit &&
            !stopping_.load(std::memory_order_acquire)) {
-      if (!not_empty_.wait_until(linger_deadline, [&] {
-            return stopping_.load(std::memory_order_relaxed) ||
-                   queue_count_.load(std::memory_order_relaxed) > 0 ||
-                   retry_ready(std::chrono::steady_clock::now());
-          })) {
+      if (!not_empty_.wait_until(linger_deadline, has_work)) {
         break;  // linger window expired
       }
       pop_available(std::chrono::steady_clock::now(), out, limit, self,

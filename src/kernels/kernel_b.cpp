@@ -121,7 +121,7 @@ ocl::Kernel make_kernel_b_fixed(std::size_t steps) {
         };
         auto values = ctx.local_array<std::int64_t>(n + 1);
 
-        if (phase == 0) {
+        if (phase == 0) [[unlikely]] {
           auto params = ctx.global<double>(args.buffer(0));
           const std::size_t base = option * kParamStride;
           const Fx s0 = Fx::from_double(params.get(base));
@@ -146,7 +146,7 @@ ocl::Kernel make_kernel_b_fixed(std::size_t steps) {
           }
           return;
         }
-        if (phase == last) {
+        if (phase == last) [[unlikely]] {
           if (k == 0) {
             auto results = ctx.global<double>(args.buffer(1));
             results.set(option, Fx::from_raw(values.get(0)).to_double());
@@ -197,7 +197,7 @@ ocl::Kernel make_kernel_b(std::size_t steps, MathMode mode, bool host_leaves) {
         // Shared value row in local memory: V(t, 0..N).
         auto values = ctx.local_array<double>(n + 1);
 
-        if (phase == 0) {
+        if (phase == 0) [[unlikely]] {
           auto params = ctx.global<double>(args.buffer(0));
           const std::size_t base = option * kParamStride;
           const double s0 = params.get(base);
@@ -238,7 +238,7 @@ ocl::Kernel make_kernel_b(std::size_t steps, MathMode mode, bool host_leaves) {
           }
           return;
         }
-        if (phase == last) {
+        if (phase == last) [[unlikely]] {
           if (k == 0) {
             auto results = ctx.global<double>(args.buffer(1));
             results.set(option, values.get(0));

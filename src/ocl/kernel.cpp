@@ -1,5 +1,7 @@
 #include "ocl/kernel.h"
 
+#include <algorithm>
+
 namespace binopt::ocl {
 
 void KernelArgs::set(std::size_t index, Value value) {
@@ -50,9 +52,12 @@ void Kernel::validate_form() const {
   BINOPT_REQUIRE(!(has_body && phased.has_value()), "kernel '", name,
                  "' sets both a lambda body and a phased body");
   if (phased.has_value()) {
-    BINOPT_REQUIRE(static_cast<bool>(phased->run_phase) &&
-                       phased->init_state != nullptr,
-                   "kernel '", name, "' has an empty phased body");
+    const bool complete =
+        phased->init_state != nullptr &&
+        std::ranges::all_of(phased->runners, [](const auto& runner) {
+          return static_cast<bool>(runner);
+        });
+    BINOPT_REQUIRE(complete, "kernel '", name, "' has an empty phased body");
     BINOPT_REQUIRE(phased->phases >= 1, "phased kernel '", name,
                    "' needs at least one phase");
   }

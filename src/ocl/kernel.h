@@ -10,9 +10,25 @@
 //     over a group's work-items together with the body (work-item
 //     coalescing), so the executor makes one call per (group, phase) and
 //     no fibers are involved.
+//
+// A phased body's item loop is compiled once per AccessPolicy, the way an
+// accelerator toolchain compiles one binary per set of compile-time
+// defines. The executor picks the instance from whether its hazard
+// analyzer is armed, which is fixed for a launch:
+//   - kArmed (hazard analyzer on): every local and global access goes
+//     through the analyzer hooks and is counted into the device's
+//     RuntimeStats as it happens;
+//   - kOff: the loop binds each local_array once per (group, phase) on a
+//     ctx of its own, keeps every bounds and size check with its error,
+//     tallies local load and store bytes in locals that never escape the
+//     loop, and adds them to RuntimeStats when the phase ends, normally or
+//     by a throw. Global accesses (a few per item in kernel IV.B's first
+//     phase) go through the same code as under kArmed and kernel IV.A's
+//     direct calls. Counters come out identical to kArmed's.
 // Arguments are position-indexed like clSetKernelArg: buffers or scalars.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -61,16 +77,23 @@ private:
 /// kept in a per-work-item state object, value-initialised at the start of
 /// every work-group. Build one with make_phased_kernel.
 struct PhasedBody {
+  /// Runs phase `phase` of every work-item of the group `ctx` (the
+  /// executor's ctx for the group) describes, items 0..local_size-1 in
+  /// order. `states` holds the group's states, state_bytes apart.
+  using Runner = std::function<void(const WorkItemCtx& ctx,
+                                    const KernelArgs& args, std::size_t phase,
+                                    std::byte* states)>;
+
   std::size_t phases = 0;
   std::size_t state_bytes = 0;
   /// Value-initialises one work-item's state in place.
   void (*init_state)(void* state) = nullptr;
-  /// Runs phase `phase` of every work-item of the group `ctx` belongs to,
-  /// items 0..local_size-1 in order, moving `ctx` onto each in turn.
-  /// `states` holds the group's states, state_bytes apart.
-  std::function<void(WorkItemCtx& ctx, const KernelArgs& args,
-                     std::size_t phase, std::byte* states)>
-      run_phase;
+  /// The item loop compiled once per AccessPolicy, indexed by it.
+  std::array<Runner, 2> runners;
+
+  [[nodiscard]] const Runner& runner(AccessPolicy policy) const {
+    return runners[static_cast<std::size_t>(policy)];
+  }
 };
 
 /// A compiled kernel: exactly one of `body` (lambda form) or `phased`.
@@ -87,12 +110,51 @@ struct Kernel {
   void validate_form() const;
 };
 
+namespace detail {
+
+/// Adds a phase's local-traffic tally to the device counters. Field by
+/// field and inline: an out-of-line RuntimeStats::operator+= would take
+/// the tally's address and force it into memory.
+inline void add_local_traffic(RuntimeStats& into, const RuntimeStats& tally) {
+  into.local_load_bytes += tally.local_load_bytes;
+  into.local_store_bytes += tally.local_store_bytes;
+}
+
+/// One phase of every work-item of `group`, items 0..n-1 in local-id
+/// order, with `fn` inlined into the loop. The ctx the items share is a
+/// local of this frame, bound per phase. Under kOff its local accessors
+/// count into `tally`, another local, added to the device's counters when
+/// the phase ends, normally or by a throw; under kArmed they count into
+/// the device's counters as they go and the tally stays zero.
+template <AccessPolicy kPolicy, typename State, typename Fn>
+void run_phase(const Fn& fn, const WorkItemCtx& group, const KernelArgs& args,
+               std::size_t phase, std::byte* states) {
+  RuntimeStats& device = WorkItemCursor::group_stats(group);
+  RuntimeStats tally;
+  WorkItemCtx ctx = WorkItemCursor::for_phase(
+      group, kPolicy, kPolicy == AccessPolicy::kArmed ? device : tally);
+  const std::size_t n = ctx.local_size();
+  try {
+    for (std::size_t i = 0; i < n; ++i) {
+      WorkItemCursor::move_to(ctx, i);
+      fn(ctx, args, phase,
+         *std::launder(reinterpret_cast<State*>(states + i * sizeof(State))));
+    }
+  } catch (...) {
+    add_local_traffic(device, tally);
+    throw;
+  }
+  add_local_traffic(device, tally);
+}
+
+}  // namespace detail
+
 /// Builds a barrier-phased kernel: `fn(ctx, args, phase, state)` runs
 /// phase `phase` of the work-item `ctx` describes, with `state` (a
 /// State&) its private memory carried across barriers. A phased body
 /// synchronises only at phase boundaries; calling ctx.barrier() inside it
 /// raises an error. The loop over the group's work-items is instantiated
-/// here, with `fn` inlined into it.
+/// here, once per AccessPolicy, with `fn` inlined into it.
 template <typename State, typename Fn>
 [[nodiscard]] Kernel make_phased_kernel(std::string name, std::size_t phases,
                                         Fn fn) {
@@ -106,17 +168,17 @@ template <typename State, typename Fn>
   phased.phases = phases;
   phased.state_bytes = sizeof(State);
   phased.init_state = [](void* state) { ::new (state) State{}; };
-  phased.run_phase = [fn = std::move(fn)](WorkItemCtx& ctx,
-                                          const KernelArgs& args,
-                                          std::size_t phase,
-                                          std::byte* states) {
-    const std::size_t n = ctx.local_size();
-    for (std::size_t i = 0; i < n; ++i) {
-      detail::WorkItemCursor::move_to(ctx, i);
-      fn(ctx, args, phase,
-         *std::launder(reinterpret_cast<State*>(states + i * sizeof(State))));
-    }
-  };
+  phased.runners = {
+      [fn](const WorkItemCtx& ctx, const KernelArgs& args, std::size_t phase,
+           std::byte* states) {
+        detail::run_phase<AccessPolicy::kOff, State>(fn, ctx, args, phase,
+                                                     states);
+      },
+      [fn = std::move(fn)](const WorkItemCtx& ctx, const KernelArgs& args,
+                           std::size_t phase, std::byte* states) {
+        detail::run_phase<AccessPolicy::kArmed, State>(fn, ctx, args, phase,
+                                                       states);
+      }};
   return kernel;
 }
 

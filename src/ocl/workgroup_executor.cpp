@@ -26,13 +26,12 @@ void detail::local_out_of_bounds(const char* access, std::size_t i,
                                              count);
 }
 
-std::size_t WorkItemCtx::allocate_local(std::size_t index,
-                                        std::size_t bytes) {
-  detail::GroupState& g = *group_;
+std::size_t detail::allocate_local(GroupState& g, std::size_t index,
+                                   std::size_t bytes, std::size_t work_item) {
   if (index < g.allocs.size()) {
-    const detail::LocalAlloc& a = g.allocs[index];
+    const LocalAlloc& a = g.allocs[index];
     BINOPT_REQUIRE(a.bytes == bytes, "divergent local allocation: work-item ",
-                   local_id_, " requested ", bytes,
+                   work_item, " requested ", bytes,
                    " bytes, group allocated ", a.bytes);
     return a.offset;
   }
@@ -41,7 +40,7 @@ std::size_t WorkItemCtx::allocate_local(std::size_t index,
   BINOPT_REQUIRE(offset + bytes <= g.arena_capacity,
                  "local memory exhausted: need ", offset + bytes,
                  " bytes, device local size is ", g.arena_capacity);
-  g.allocs.push_back(detail::LocalAlloc{offset, bytes});
+  g.allocs.push_back(LocalAlloc{offset, bytes});
   g.arena_used = offset + bytes;
   if (g.analysis != nullptr) g.analysis->on_local_alloc(offset, bytes);
   return offset;
@@ -119,6 +118,8 @@ void WorkGroupExecutor::run_group(const Kernel& kernel, const KernelArgs& args,
   ctx.group_id_ = group_id;
   ctx.local_size_ = n;
   ctx.global_size_ = range.global_size;
+  ctx.local_counts_ = &stats;
+  ctx.analysis_ = group_.analysis;
   ctx.group_ = &group_;
 
   if (kernel.phased) {
@@ -139,7 +140,7 @@ void WorkGroupExecutor::run_group(const Kernel& kernel, const KernelArgs& args,
 
 void WorkGroupExecutor::run_phased_group(const PhasedBody& phased,
                                          const KernelArgs& args,
-                                         WorkItemCtx& ctx) {
+                                         const WorkItemCtx& ctx) {
   const std::size_t n = ctx.local_size_;
   // sizeof(State) is a multiple of alignof(State) <= alignof(max_align_t),
   // so back-to-back states in a max_align_t array are all aligned.
@@ -152,7 +153,9 @@ void WorkGroupExecutor::run_phased_group(const PhasedBody& phased,
 
   // One pass per barrier region, work-items in local-id order: the order
   // the fiber scheduler resumes them in, so results match it bit for bit.
-  // The item loop itself is compiled with the body (run_phase).
+  // The item loop itself is compiled with the body, once per policy.
+  const PhasedBody::Runner& run_phase = phased.runner(
+      analysis_ != nullptr ? AccessPolicy::kArmed : AccessPolicy::kOff);
   for (std::size_t phase = 0; phase < phased.phases; ++phase) {
     if (phase > 0) {
       // The whole group crossed the barrier between the previous phase
@@ -160,7 +163,7 @@ void WorkGroupExecutor::run_phased_group(const PhasedBody& phased,
       group_.stats->barriers_executed += n;
       if (analysis_ != nullptr) analysis_->advance_epoch();
     }
-    phased.run_phase(ctx, args, phase, states);
+    run_phase(ctx, args, phase, states);
   }
 }
 

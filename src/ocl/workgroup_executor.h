@@ -7,8 +7,10 @@
 //     (PhasedBody, make_phased_kernel) runs each phase as a plain loop
 //     over the group's work-items, work-item 0 first — MCUDA/pocl-style
 //     work-item coalescing. The item loop is compiled with the kernel
-//     body (make_phased_kernel instantiates it), so the executor makes one
-//     call per (group, phase) and the body is inlined into the loop.
+//     body (make_phased_kernel instantiates it once per AccessPolicy), so
+//     the executor makes one call per (group, phase), picking the
+//     analyzer-armed or analyzer-off instance, and the body is inlined
+//     into the loop.
 //     Private memory that outlives a barrier lives in a per-item state
 //     arena the executor owns and reuses; there are no fibers and no
 //     per-item stacks, and a warmed-up executor allocates nothing per
@@ -114,7 +116,7 @@ private:
   void run_group(const Kernel& kernel, const KernelArgs& args, NDRange range,
                  std::size_t group_id, RuntimeStats& stats);
   void run_phased_group(const PhasedBody& phased, const KernelArgs& args,
-                        WorkItemCtx& ctx);
+                        const WorkItemCtx& ctx);
   /// Returns false when a divergent group was drained under the
   /// analyzer (it then counts as not executed).
   bool run_fiber_group(const Kernel& kernel, const KernelArgs& args,

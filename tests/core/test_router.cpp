@@ -13,12 +13,14 @@
 //      plans keep parity with honest routed/misrouted attribution.
 //
 // test_core runs under the CI ThreadSanitizer job, so the service-level
-// scenarios also race-check the routed-queue spine (per-worker deques,
+// scenarios also race-check the routed-queue spine (per-worker MpmcRings,
 // probe steal, quarantine drain) against concurrent submitters.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdlib>
+#include <ctime>
+#include <thread>
 #include <future>
 #include <vector>
 
@@ -369,6 +371,50 @@ TEST(RoutedService, EnergyPolicyRoutesToTheFrugalBackendWithParity) {
     EXPECT_EQ(quote.target, Target::kFpgaKernelB);
     EXPECT_EQ(quote.routed_target, Target::kFpgaKernelB);
   }
+  const auto stats = service.stats();
+  ASSERT_EQ(stats.served_by_backend.size(), 2u);
+  EXPECT_EQ(stats.served_by_backend[0], 0u);
+  EXPECT_EQ(stats.served_by_backend[1], batch.size());
+}
+
+TEST(RoutedService, IdleWorkerParksWhileAPeerHasBacklog) {
+  // Everything is routed to worker 1 (the energy policy's frugal FPGA
+  // backend), whose first launch stalls; the rest of the batch waits on
+  // its ring. Worker 0 has nothing to take, so it must park, not wake on
+  // the peer's backlog and spin: the process burns almost no CPU while
+  // the stall lasts (a spinning worker burns a whole core).
+  ServiceConfig config;
+  config.targets = {Target::kCpuReference, Target::kFpgaKernelB};
+  config.steps = kSteps;
+  config.max_batch = 4;
+  config.linger = 0us;
+  config.cache_capacity = 0;
+  config.router.policy = RouterPolicy::kEnergyBudget;
+  config.worker_fault_plans.resize(2);
+  config.worker_fault_plans[1] =
+      ocl::faults::parse_fault_plan("stall@1,ms=1000");
+
+  const auto batch = finance::make_curve_batch(32);
+  const std::vector<double> expected =
+      direct_prices(batch, Target::kFpgaKernelB);
+
+  PricingService service(config);
+  auto prices = service.submit_batch(batch);
+  // Let worker 1 enter its stalled launch, then sample a window inside it.
+  std::this_thread::sleep_for(150ms);
+  ASSERT_GT(service.queued_requests(), 0u);
+  const std::clock_t cpu0 = std::clock();
+  const auto wall0 = std::chrono::steady_clock::now();
+  std::this_thread::sleep_for(400ms);
+  const std::clock_t cpu1 = std::clock();
+  const double wall_s =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)
+          .count();
+  const double cores =
+      static_cast<double>(cpu1 - cpu0) / CLOCKS_PER_SEC / wall_s;
+  EXPECT_LT(cores, 0.25) << "core-seconds per wall-second while parked";
+
+  EXPECT_EQ(prices.get(), expected);
   const auto stats = service.stats();
   ASSERT_EQ(stats.served_by_backend.size(), 2u);
   EXPECT_EQ(stats.served_by_backend[0], 0u);

@@ -290,6 +290,126 @@ TEST(PhasedExecutor, LocalOutOfBoundsIsADescriptiveError) {
   }
 }
 
+// Each local_array is bound once per (group, phase) and reused by later
+// items, which must still have their sizes checked: a divergent size is
+// the same descriptive error in the allocating phase and in a later one,
+// with the analyzer off and armed.
+TEST(PhasedExecutor, DivergentLocalArraySizeIsADescriptiveError) {
+  struct State {
+    int unused = 0;
+  };
+  for (const std::size_t divergent_phase : {0u, 2u}) {
+    for (const bool armed : {false, true}) {
+      SCOPED_TRACE("phase " + std::to_string(divergent_phase) +
+                   (armed ? ", analyzer armed" : ", analyzer off"));
+      const Kernel kernel = make_phased_kernel<State>(
+          "divergent_local", 3,
+          [divergent_phase](WorkItemCtx& ctx, const KernelArgs&,
+                            std::size_t phase, State&) {
+            const bool odd_one_out =
+                phase == divergent_phase && ctx.local_id() == 2;
+            auto row = ctx.local_array<double>(odd_one_out ? 3 : 4);
+            row.set(ctx.local_id() % row.size(), 1.0);
+          });
+      Device device = make_device(1);
+      if (armed) {
+        analyzer::AnalyzerConfig config;
+        config.enabled = true;
+        device.set_analyzer(config);
+      }
+      KernelArgs args;
+      try {
+        device.execute(kernel, args, NDRange{4, 4});
+        FAIL() << "a divergent local_array size must throw";
+      } catch (const PreconditionError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "divergent local allocation: work-item 2 requested 24 "
+                      "bytes, group allocated 32"),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+}
+
+// A phase that throws partway through, after local and global accesses:
+// whatever the item loop tallies per phase still reaches the device's
+// counters. The values were recorded with every access counted as it
+// happened, so this pins the tally's flush on unwind, with the analyzer
+// off and armed.
+TEST(PhasedExecutor, CountersAfterAThrowMatchPerAccessCounting) {
+  constexpr std::size_t kItems = 8;
+  constexpr std::size_t kGroups = 4;
+  constexpr std::size_t kFailGroup = 2;
+  constexpr std::size_t kFailItem = 5;
+  struct State {
+    double carried = 0.0;
+  };
+  const Kernel kernel = make_phased_kernel<State>(
+      "throws_after_traffic", 3,
+      [](WorkItemCtx& ctx, const KernelArgs& args, std::size_t phase,
+         State& st) {
+        const std::size_t n = ctx.local_size();
+        const std::size_t k = ctx.local_id();
+        auto row = ctx.local_array<double>(n);
+        auto sums = ctx.local_array<double>(n);
+        auto in = ctx.global<double>(args.buffer(0));
+        if (phase == 0) {
+          st.carried = in.get(ctx.global_id());
+          row.set(k, st.carried);
+        } else if (phase == 1) {
+          st.carried += row.get((k + 1) % n) + in.get(ctx.global_id());
+          sums.set(k, st.carried);
+          if (ctx.group_id() == kFailGroup && k == kFailItem) {
+            throw PreconditionError("item failed after its accesses");
+          }
+        } else {
+          auto out = ctx.global<double>(args.buffer(1));
+          out.set(ctx.global_id(), sums.get(k));
+        }
+      });
+  for (const bool armed : {false, true}) {
+    SCOPED_TRACE(armed ? "analyzer armed" : "analyzer off");
+    Device device = make_device(1);
+    if (armed) {
+      analyzer::AnalyzerConfig config;
+      config.enabled = true;
+      device.set_analyzer(config);
+    }
+    Context context(device);
+    CommandQueue queue(context);
+    const NDRange range{kGroups * kItems, kItems};
+    Buffer& in = context.create_buffer_of<double>(range.global_size,
+                                                  MemFlags::kReadOnly, "in");
+    Buffer& out = context.create_buffer_of<double>(range.global_size,
+                                                   MemFlags::kWriteOnly, "out");
+    queue.write<double>(in, std::vector<double>(range.global_size, 1.5));
+    KernelArgs args;
+    args.set(0, &in);
+    args.set(1, &out);
+    EXPECT_THROW(device.execute(kernel, args, range), PreconditionError);
+
+    // Groups 0 and 1 complete; group 2 stops after items 0..5 of phase 1.
+    RuntimeStats want;
+    want.host_to_device_bytes = 256;
+    want.device_to_host_bytes = 0;
+    want.host_transfers = 1;
+    want.global_load_bytes = 368;
+    want.global_store_bytes = 128;
+    want.local_load_bytes = 304;
+    want.local_store_bytes = 368;
+    want.kernels_enqueued = 1;
+    want.work_items_executed = 16;
+    want.work_groups_executed = 2;
+    want.barriers_executed = 40;
+    EXPECT_EQ(device.stats(), want) << device.stats().to_string();
+    if (armed) {
+      EXPECT_TRUE(device.hazard_report().empty())
+          << device.hazard_report().to_string();
+    }
+  }
+}
+
 TEST(PhasedExecutor, PrivateStateIsValueInitialisedForEveryGroup) {
   struct State {
     int phases_seen = 0;
