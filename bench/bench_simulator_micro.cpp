@@ -1,9 +1,9 @@
 // Micro-benchmarks of the simulation substrate itself (google-benchmark):
-// the reference pricer's node-update rate, fiber context-switch cost,
-// barrier round-trips, the approximate math operators, and the end-to-end
-// functional kernels. These measure THIS machine's simulator, not the
-// paper's hardware — they bound how large the functional experiments can
-// be made and document the cost of the fiber-based barrier machinery.
+// the reference pricer's node-update rate, barrier crossings and the
+// per-call floor of the phased executor, the approximate math operators,
+// the compute-unit scheduler, and the end-to-end functional kernels. These
+// measure the host running the simulator, not the paper's hardware — they
+// bound how large the functional experiments can be made.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -17,7 +17,6 @@
 #include "kernels/kernel_a.h"
 #include "kernels/kernel_b.h"
 #include "ocl/device.h"
-#include "ocl/fiber.h"
 #include "ocl/platform.h"
 
 namespace {
@@ -38,29 +37,18 @@ void BM_ReferencePricer(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferencePricer)->Arg(128)->Arg(1024);
 
-void BM_FiberSwitch(benchmark::State& state) {
-  ocl::Fiber fiber;
-  bool run = true;
-  fiber.start([&] {
-    while (run) fiber.yield();
-  });
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(fiber.resume());
-  }
-  run = false;
-  (void)fiber.resume();
-}
-BENCHMARK(BM_FiberSwitch);
-
+// One group of Arg work-items crossing 16 barriers: a phased kernel of 17
+// phases whose body only reads its local id.
 void BM_WorkGroupBarrierRound(benchmark::State& state) {
   const auto group = static_cast<std::size_t>(state.range(0));
   ocl::WorkGroupExecutor executor(32 * 1024, 1024);
   ocl::RuntimeStats stats;
-  ocl::Kernel kernel;
-  kernel.name = "barrier_bench";
-  kernel.body = [](ocl::WorkItemCtx& ctx, const ocl::KernelArgs&) {
-    for (int i = 0; i < 16; ++i) ctx.barrier();
-  };
+  struct Empty {};
+  const ocl::Kernel kernel = ocl::make_phased_kernel<Empty>(
+      "barrier_bench", 16 + 1,
+      [](ocl::WorkItemCtx& ctx, const ocl::KernelArgs&, std::size_t, Empty&) {
+        benchmark::DoNotOptimize(ctx.local_id());
+      });
   ocl::KernelArgs args;
   for (auto _ : state) {
     executor.execute(kernel, args, ocl::NDRange{group, group}, stats);
@@ -195,16 +183,21 @@ void BM_ComputeUnitSweep(benchmark::State& state) {
   const std::size_t local = 16;
   ocl::Device device("cu-sweep", ocl::DeviceKind::kFpga,
                      ocl::DeviceLimits{64u << 20, 16u << 10, 64, units});
-  ocl::Kernel kernel;
-  kernel.name = "cu_sweep";
-  kernel.body = [](ocl::WorkItemCtx& ctx, const ocl::KernelArgs&) {
-    auto row = ctx.local_array<double>(ctx.local_size());
-    row.set(ctx.local_id(), 1.0 + 1e-9 * static_cast<double>(ctx.global_id()));
-    ctx.barrier();
-    double acc = row.get((ctx.local_id() + 1) % ctx.local_size());
-    for (int i = 0; i < 256; ++i) acc = acc * 1.0000001 + 1e-12;
-    benchmark::DoNotOptimize(acc);
-  };
+  struct Empty {};
+  const ocl::Kernel kernel = ocl::make_phased_kernel<Empty>(
+      "cu_sweep", 2,
+      [](ocl::WorkItemCtx& ctx, const ocl::KernelArgs&, std::size_t phase,
+         Empty&) {
+        auto row = ctx.local_array<double>(ctx.local_size());
+        if (phase == 0) {
+          row.set(ctx.local_id(),
+                  1.0 + 1e-9 * static_cast<double>(ctx.global_id()));
+          return;
+        }
+        double acc = row.get((ctx.local_id() + 1) % ctx.local_size());
+        for (int i = 0; i < 256; ++i) acc = acc * 1.0000001 + 1e-12;
+        benchmark::DoNotOptimize(acc);
+      });
   ocl::KernelArgs args;
 
   const auto t0 = std::chrono::steady_clock::now();

@@ -29,7 +29,6 @@ ocl::Kernel make_kernel_a(std::size_t steps) {
   BINOPT_REQUIRE(steps >= 1, "kernel A needs at least one tree step");
   ocl::Kernel kernel;
   kernel.name = "binomial_node_dataflow";
-  kernel.uses_barriers = false;  // pure dataflow: no in-group synchronisation
   kernel.body = [steps](ocl::WorkItemCtx& ctx, const ocl::KernelArgs& args) {
     // Argument layout (bound by the host program):
     //   0: S read buffer   1: V read buffer

@@ -14,7 +14,6 @@ std::string to_string(HazardKind kind) {
     case HazardKind::kLocalUninitRead: return "local-uninitialized-read";
     case HazardKind::kGlobalOutOfBounds: return "global-out-of-bounds";
     case HazardKind::kGlobalUninitRead: return "global-uninitialized-read";
-    case HazardKind::kBarrierDivergence: return "barrier-divergence";
     case HazardKind::kStaticIndexOutOfBounds:
       return "static-index-out-of-bounds";
     case HazardKind::kStaticDivergentBarrier:

@@ -34,7 +34,6 @@ enum class HazardKind {
   kLocalUninitRead,       ///< local read of a never-written byte
   kGlobalOutOfBounds,     ///< global access outside the buffer
   kGlobalUninitRead,      ///< global read of a byte no one ever wrote
-  kBarrierDivergence,     ///< some work-items at a barrier, others returned
   kStaticIndexOutOfBounds,   ///< IR lint: index bound exceeds buffer size
   kStaticDivergentBarrier,   ///< IR lint: barrier in divergent control flow
   kStaticRaceReadWrite,    ///< verifier: read/write collision, one interval

@@ -48,23 +48,6 @@ std::string GroupAnalysis::local_resource_name(std::size_t alloc_index) const {
   return os.str();
 }
 
-void GroupAnalysis::record_barrier_divergence(std::size_t at_barrier,
-                                              std::size_t finished) {
-  Hazard hazard;
-  hazard.kind = HazardKind::kBarrierDivergence;
-  hazard.kernel = kernel_;
-  hazard.resource = "barrier";
-  hazard.group_id = group_id_;
-  hazard.second.epoch = epoch_;
-  std::ostringstream os;
-  os << at_barrier << " work-item(s) reached a barrier in epoch " << epoch_
-     << " while " << finished
-     << " returned without it (group " << group_id_
-     << "); the barrier is in divergent control flow";
-  hazard.message = os.str();
-  report_->add(std::move(hazard));
-}
-
 void GroupAnalysis::report_local(HazardKind kind, std::size_t item,
                                  std::size_t alloc_index,
                                  std::size_t offset_in_alloc,

@@ -87,11 +87,6 @@ public:
 
   [[nodiscard]] std::size_t epoch() const { return epoch_; }
 
-  /// Records a barrier-divergence hazard (some work-items parked at a
-  /// barrier while others returned in the same scheduling pass).
-  void record_barrier_divergence(std::size_t at_barrier,
-                                 std::size_t finished);
-
   // -- access hooks called by LocalSpan / GlobalSpan -----------------------
   // Each returns true when the access may proceed; false means the access
   // is out of bounds and must be suppressed (reads yield T{}, writes are

@@ -42,14 +42,13 @@ std::size_t resolve_compute_units(std::size_t limit_value) {
 
 ComputeUnitScheduler::ComputeUnitScheduler(std::size_t compute_units,
                                            std::size_t local_mem_bytes,
-                                           std::size_t max_workgroup_size,
-                                           std::size_t stack_bytes) {
+                                           std::size_t max_workgroup_size) {
   BINOPT_REQUIRE(compute_units >= 1, "need at least one compute unit");
   units_.reserve(compute_units);
   for (std::size_t i = 0; i < compute_units; ++i) {
     units_.push_back(std::make_unique<Unit>(static_cast<std::uint32_t>(i),
                                             local_mem_bytes,
-                                            max_workgroup_size, stack_bytes));
+                                            max_workgroup_size));
   }
 }
 
@@ -121,15 +120,14 @@ void ComputeUnitScheduler::execute(const Kernel& kernel,
   death_cu_ = kNoDeath;
   death_context_ = {};
 
-  // Serial fast path: a single unit (or a single group) gains nothing
-  // from the worker pool — run inline on the enqueuing thread with zero
-  // scheduling overhead. Counter-wise this is the definitional baseline
-  // the parallel path must (and does) reproduce exactly.
+  // Serial path: a single unit (or a single group) gains nothing from the
+  // worker pool — run inline on the enqueuing thread, groups in order.
+  // Counter-wise this is the definitional baseline the parallel path must
+  // (and does) reproduce exactly.
   if (units_.size() == 1 || num_groups == 1) {
     if (kill_cu != kNoDeath) {
-      // The lone serving unit dies before pulling any work: no group ran,
-      // no counters moved — the same observable contract as the parallel
-      // path's cancel-before-first-chunk.
+      // The lone serving unit dies before pulling any work: no group runs
+      // and no counter moves.
       throw faults::TransientDeviceError(
           faults::FaultKind::kCuDeath, death_context,
           "injected fault: compute-unit worker " +
@@ -137,30 +135,10 @@ void ComputeUnitScheduler::execute(const Kernel& kernel,
               death_context.describe() + ")");
     }
     Unit& unit = *units_[0];
-    if (tracer_ == nullptr) {
-      try {
-        unit.executor.execute(kernel, args, range, stats);
-      } catch (...) {
-        unit.executor.flush_analysis();
-        throw;
-      }
-      unit.executor.flush_analysis();
-      return;
-    }
-    // Traced serial path: same group loop as WorkGroupExecutor::execute
-    // (validate above, one kernels_enqueued bump, in-order groups) so the
-    // stats stay bit-identical, plus a span per group.
-    unit.spans.clear();
     ++stats.kernels_enqueued;
     try {
       for (std::size_t g = 0; g < num_groups; ++g) {
-        trace::WorkGroupSpan span;
-        span.cu = 0;
-        span.group_id = g;
-        span.start_ns = trace::monotonic_ns();
-        unit.executor.execute_group(kernel, args, range, g, stats);
-        span.end_ns = trace::monotonic_ns();
-        unit.spans.push_back(span);
+        run_group(unit, kernel, args, range, g, stats);
       }
     } catch (...) {
       unit.executor.flush_analysis();
@@ -260,7 +238,6 @@ void ComputeUnitScheduler::run_chunks(Unit& unit) {
     cancelled_.store(true, std::memory_order_release);
     return;
   }
-  const bool tracing = tracer_ != nullptr;
   while (!cancelled_.load(std::memory_order_acquire)) {
     const std::size_t begin =
         next_group_.fetch_add(job_chunk_groups_, std::memory_order_relaxed);
@@ -270,28 +247,32 @@ void ComputeUnitScheduler::run_chunks(Unit& unit) {
     for (std::size_t g = begin; g < end; ++g) {
       if (cancelled_.load(std::memory_order_acquire)) return;
       try {
-        if (tracing) {
-          trace::WorkGroupSpan span;
-          span.cu = unit.index;
-          span.group_id = g;
-          span.start_ns = trace::monotonic_ns();
-          unit.executor.execute_group(*job_kernel_, *job_args_, job_range_, g,
-                                      unit.shard);
-          span.end_ns = trace::monotonic_ns();
-          unit.spans.push_back(span);
-        } else {
-          unit.executor.execute_group(*job_kernel_, *job_args_, job_range_, g,
-                                      unit.shard);
-        }
+        run_group(unit, *job_kernel_, *job_args_, job_range_, g, unit.shard);
       } catch (...) {
-        // run_group has already drained this unit's fibers; remember the
-        // error, stop the fleet, and let execute() rethrow.
+        // Remember the error, stop the fleet, and let execute() rethrow.
         record_error(std::current_exception(), g);
         cancelled_.store(true, std::memory_order_release);
         return;
       }
     }
   }
+}
+
+void ComputeUnitScheduler::run_group(Unit& unit, const Kernel& kernel,
+                                     const KernelArgs& args, NDRange range,
+                                     std::size_t group_id,
+                                     RuntimeStats& stats) {
+  if (tracer_ == nullptr) {
+    unit.executor.execute_group(kernel, args, range, group_id, stats);
+    return;
+  }
+  trace::WorkGroupSpan span;
+  span.cu = unit.index;
+  span.group_id = group_id;
+  span.start_ns = trace::monotonic_ns();
+  unit.executor.execute_group(kernel, args, range, group_id, stats);
+  span.end_ns = trace::monotonic_ns();
+  unit.spans.push_back(span);
 }
 
 void ComputeUnitScheduler::record_error(std::exception_ptr error,

@@ -4,20 +4,20 @@
 //
 // OpenCL guarantees nothing about inter-group ordering, so any assignment
 // of groups to units is a conformant schedule. Each worker owns a private
-// WorkGroupExecutor (its own fiber pool, private-state arena and
-// local-memory arena — local memory is per-compute-unit on real devices
-// too) and pulls chunks of
+// WorkGroupExecutor (its own private-state and local-memory arenas — local
+// memory is per-compute-unit on real devices too) and pulls chunks of
 // consecutive group ids from an atomic cursor. Counters are collected in
 // per-worker RuntimeStats shards and merged on the enqueuing thread after
 // the range completes; since every counter is an unsigned sum, the merged
-// totals are bit-identical to a serial run of the same kernel.
+// totals are bit-identical to a serial run of the same kernel. A single
+// unit, or a single group, runs serially on the enqueuing thread.
 //
 // Error contract: if any work-group throws, the scheduler stops handing
-// out new chunks, lets every worker drain its in-flight group (the
-// executor's abort-unwinding leaves each private executor reusable),
-// and rethrows the recorded error — preferring the lowest-numbered failing
-// group, which is the error a serial run would have surfaced first — on
-// the enqueuing thread.
+// out new chunks, lets every worker finish its in-flight group (a throwing
+// group unwinds its executor's item loop and leaves the executor
+// reusable), and rethrows the recorded error — preferring the
+// lowest-numbered failing group, which is the error a serial run would
+// have surfaced first — on the enqueuing thread.
 #pragma once
 
 #include <atomic>
@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "ocl/faults/fault_plan.h"
-#include "ocl/fiber.h"
 #include "ocl/kernel.h"
 #include "ocl/stats.h"
 #include "ocl/trace/tracer.h"
@@ -44,8 +43,7 @@ public:
   /// `compute_units` must be >= 1. Worker threads are started lazily on
   /// the first NDRange that can use more than one unit.
   ComputeUnitScheduler(std::size_t compute_units, std::size_t local_mem_bytes,
-                       std::size_t max_workgroup_size,
-                       std::size_t stack_bytes = Fiber::kDefaultStackBytes);
+                       std::size_t max_workgroup_size);
   ~ComputeUnitScheduler();
 
   ComputeUnitScheduler(const ComputeUnitScheduler&) = delete;
@@ -90,9 +88,8 @@ private:
   /// engine and counter shard.
   struct Unit {
     Unit(std::uint32_t index, std::size_t local_mem_bytes,
-         std::size_t max_workgroup_size, std::size_t stack_bytes)
-        : index(index),
-          executor(local_mem_bytes, max_workgroup_size, stack_bytes) {}
+         std::size_t max_workgroup_size)
+        : index(index), executor(local_mem_bytes, max_workgroup_size) {}
     const std::uint32_t index;  ///< compute-unit number (trace lane 1+index)
     WorkGroupExecutor executor;
     RuntimeStats shard;
@@ -105,6 +102,10 @@ private:
   void start_workers();
   void worker_loop(std::size_t unit_index);
   void run_chunks(Unit& unit);
+  /// Runs group `group_id` on `unit`'s executor, counting into `stats`,
+  /// and with a tracer attached captures its span in the unit's shard.
+  void run_group(Unit& unit, const Kernel& kernel, const KernelArgs& args,
+                 NDRange range, std::size_t group_id, RuntimeStats& stats);
   void record_error(std::exception_ptr error, std::size_t group_id);
   /// Folds every unit's span shard into the tracer (unit order) and
   /// clears the shards. No-op without a tracer.

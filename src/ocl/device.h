@@ -5,8 +5,8 @@
 // compute units) and owns the execution engine and traffic counters.
 // NDRanges are dispatched through a ComputeUnitScheduler: one persistent
 // worker thread per modelled compute unit, each with a private executor
-// (fiber pool, private-state and local-memory arenas), pulling independent work-groups from a shared
-// queue. Microarchitectural parameters used for timing/energy (ALU counts,
+// (private-state and local-memory arenas), pulling independent work-groups
+// from a shared queue. Microarchitectural parameters used for timing/energy (ALU counts,
 // bandwidths, TDP) live in src/devices/ and src/perf/ — the functional
 // runtime does not need them.
 #pragma once

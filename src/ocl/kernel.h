@@ -2,14 +2,16 @@
 //
 // A kernel is a name plus a C++ body in one of two forms:
 //   - a lambda body, invoked once per work-item with a WorkItemCtx (ids,
-//     barriers, local memory) and its bound arguments; a body that calls
-//     barrier() runs on a fiber per work-item;
+//     local memory) and its bound arguments. It cannot synchronise: the
+//     executor runs the group's work-items one after another, as direct
+//     calls;
 //   - a barrier-phased body: the kernel split at its barriers into a fixed
 //     number of phases, written per work-item with the item's private
-//     state carried across phases. make_phased_kernel compiles the loop
-//     over a group's work-items together with the body (work-item
-//     coalescing), so the executor makes one call per (group, phase) and
-//     no fibers are involved.
+//     state carried across phases. Every phase of every work-item runs
+//     before the next phase of any, which is what a group-wide barrier
+//     guarantees. make_phased_kernel compiles the loop over a group's
+//     work-items together with the body (work-item coalescing), so the
+//     executor makes one call per (group, phase).
 //
 // A phased body's item loop is compiled once per AccessPolicy, the way an
 // accelerator toolchain compiles one binary per set of compile-time
@@ -23,8 +25,8 @@
 //     tallies local load and store bytes in locals that never escape the
 //     loop, and adds them to RuntimeStats when the phase ends, normally or
 //     by a throw. Global accesses (a few per item in kernel IV.B's first
-//     phase) go through the same code as under kArmed and kernel IV.A's
-//     direct calls. Counters come out identical to kArmed's.
+//     phase) go through the same code as under kArmed and as a lambda
+//     body's direct calls. Counters come out identical to kArmed's.
 // Arguments are position-indexed like clSetKernelArg: buffers or scalars.
 #pragma once
 
@@ -96,14 +98,11 @@ struct PhasedBody {
   }
 };
 
-/// A compiled kernel: exactly one of `body` (lambda form) or `phased`.
+/// A compiled kernel: exactly one of `body` (lambda form, no barriers) or
+/// `phased`.
 struct Kernel {
   std::string name;
   std::function<void(WorkItemCtx&, const KernelArgs&)> body;
-  /// Lambda-form kernels that never call barrier() may declare it and run
-  /// on the executor's direct-call fast path instead of fibers. A
-  /// barrier() inside such a kernel is detected and raises an error.
-  bool uses_barriers = true;
   std::optional<PhasedBody> phased;
 
   /// Throws unless the kernel sets exactly one body form.
@@ -151,10 +150,10 @@ void run_phase(const Fn& fn, const WorkItemCtx& group, const KernelArgs& args,
 
 /// Builds a barrier-phased kernel: `fn(ctx, args, phase, state)` runs
 /// phase `phase` of the work-item `ctx` describes, with `state` (a
-/// State&) its private memory carried across barriers. A phased body
-/// synchronises only at phase boundaries; calling ctx.barrier() inside it
-/// raises an error. The loop over the group's work-items is instantiated
-/// here, once per AccessPolicy, with `fn` inlined into it.
+/// State&) its private memory carried across barriers. The body
+/// synchronises only at phase boundaries. The loop over the group's
+/// work-items is instantiated here, once per AccessPolicy, with `fn`
+/// inlined into it.
 template <typename State, typename Fn>
 [[nodiscard]] Kernel make_phased_kernel(std::string name, std::size_t phases,
                                         Fn fn) {

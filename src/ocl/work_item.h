@@ -1,5 +1,7 @@
-// The work-item's view of a running kernel: WorkItemCtx (ids, barrier,
-// global and local memory) and the local-memory accessor LocalSpan.
+// The work-item's view of a running kernel: WorkItemCtx (ids, global and
+// local memory) and the local-memory accessor LocalSpan. A work-item has
+// no barrier call: a kernel that synchronises is written as phases (see
+// kernel.h), and the executor crosses the barrier between them.
 //
 // A header of its own so that kernel.h sees a complete WorkItemCtx:
 // make_phased_kernel instantiates a phased kernel's item loop together
@@ -28,7 +30,6 @@
 
 namespace binopt::ocl {
 
-class Fiber;
 class WorkGroupExecutor;
 class WorkItemCtx;
 
@@ -48,7 +49,7 @@ struct LocalAlloc {
   std::size_t bytes = 0;
 };
 
-/// Per-group shared state (local arena + allocation log + barrier phase).
+/// Per-group shared state (local arena + allocation log).
 /// The arena storage itself is owned by the executor and reused across
 /// groups (real local memory is likewise uninitialised between groups).
 struct GroupState {
@@ -58,12 +59,7 @@ struct GroupState {
   std::vector<LocalAlloc> allocs;
   RuntimeStats* stats = nullptr;
   analyzer::GroupAnalysis* analysis = nullptr;  ///< null = analyzer off
-  bool aborting = false;  ///< set when a sibling work-item threw
-  bool phased = false;    ///< running a PhasedBody (barrier() is an error)
 };
-
-/// Per-work-item scheduling state.
-enum class ItemState { kRunnable, kAtBarrier, kDone };
 
 /// A ctx's binding of one group allocation: where it lives and its size.
 struct BoundLocal {
@@ -157,7 +153,7 @@ private:
 };
 
 /// Execution context handed to the kernel body — the work-item's window
-/// onto ids, synchronisation, and the three OpenCL memory levels.
+/// onto its ids and the three OpenCL memory levels.
 class WorkItemCtx {
 public:
   [[nodiscard]] std::size_t global_id() const { return global_id_; }
@@ -168,11 +164,6 @@ public:
   [[nodiscard]] std::size_t num_groups() const {
     return global_size_ / local_size_;
   }
-
-  /// OpenCL barrier(CLK_LOCAL_MEM_FENCE): suspends this work-item until
-  /// every work-item of the group has reached the same barrier. Lambda
-  /// bodies only: a phased body synchronises by returning from its phase.
-  void barrier();
 
   /// Global-memory accessor for a bound buffer.
   template <typename T>
@@ -226,8 +217,6 @@ private:
   std::size_t global_size_ = 0;
   std::size_t alloc_cursor_ = 0;
   detail::GroupState* group_ = nullptr;
-  Fiber* fiber_ = nullptr;
-  detail::ItemState state_ = detail::ItemState::kRunnable;
   // The local-memory accessors' view: what they count into, their
   // analyzer hooks (null = off) and the allocations this ctx has bound.
   RuntimeStats* local_counts_ = nullptr;

@@ -2,22 +2,6 @@
 
 namespace binopt::ocl {
 
-void WorkItemCtx::barrier() {
-  BINOPT_REQUIRE(group_ == nullptr || !group_->phased,
-                 "barrier() inside a phased kernel body: phased kernels "
-                 "synchronise between phases, so end the phase instead");
-  BINOPT_REQUIRE(fiber_ != nullptr,
-                 "barrier() in a kernel declared with uses_barriers=false "
-                 "(or outside kernel execution)");
-  state_ = detail::ItemState::kAtBarrier;
-  ++group_->stats->barriers_executed;
-  fiber_->yield();
-  // If a sibling work-item threw while we were parked, unwind this
-  // work-item's stack too so the fiber (and its RAII state) finishes
-  // cleanly and the pool stays reusable.
-  if (group_->aborting) throw detail::KernelAborted{};
-}
-
 void detail::local_out_of_bounds(const char* access, std::size_t i,
                                  std::size_t count) {
   ::binopt::detail::raise<PreconditionError>("i < count", __FILE__, __LINE__,
@@ -47,11 +31,9 @@ std::size_t detail::allocate_local(GroupState& g, std::size_t index,
 }
 
 WorkGroupExecutor::WorkGroupExecutor(std::size_t local_mem_bytes,
-                                     std::size_t max_workgroup_size,
-                                     std::size_t stack_bytes)
+                                     std::size_t max_workgroup_size)
     : local_mem_bytes_(local_mem_bytes),
-      max_workgroup_size_(max_workgroup_size),
-      pool_(stack_bytes) {
+      max_workgroup_size_(max_workgroup_size) {
   BINOPT_REQUIRE(max_workgroup_size_ >= 1, "device must allow work-groups");
 }
 
@@ -107,8 +89,6 @@ void WorkGroupExecutor::run_group(const Kernel& kernel, const KernelArgs& args,
   group_.allocs.clear();
   group_.stats = &stats;
   group_.analysis = nullptr;
-  group_.aborting = false;
-  group_.phased = kernel.phased.has_value();
   if (analysis_ != nullptr) {
     analysis_->begin_group(kernel.name, group_id, local_mem_bytes_);
     group_.analysis = analysis_.get();
@@ -124,15 +104,13 @@ void WorkGroupExecutor::run_group(const Kernel& kernel, const KernelArgs& args,
 
   if (kernel.phased) {
     run_phased_group(*kernel.phased, args, ctx);
-  } else if (!kernel.uses_barriers) {
-    // Fast path: no synchronisation possible, so each work-item runs to
-    // completion as a plain call. barrier() raises (fiber_ is null).
+  } else {
+    // A lambda body cannot synchronise, so each work-item runs to
+    // completion as a plain call.
     for (std::size_t i = 0; i < n; ++i) {
       detail::WorkItemCursor::move_to(ctx, i);
       kernel.body(ctx, args);
     }
-  } else if (!run_fiber_group(kernel, args, ctx)) {
-    return;  // divergent group drained under the analyzer
   }
   ++stats.work_groups_executed;
   stats.work_items_executed += n;
@@ -151,9 +129,8 @@ void WorkGroupExecutor::run_phased_group(const PhasedBody& phased,
   auto* states = reinterpret_cast<std::byte*>(state_arena_.data());
   for (std::size_t i = 0; i < n; ++i) phased.init_state(states + i * stride);
 
-  // One pass per barrier region, work-items in local-id order: the order
-  // the fiber scheduler resumes them in, so results match it bit for bit.
-  // The item loop itself is compiled with the body, once per policy.
+  // One pass per barrier region, work-items in local-id order. The item
+  // loop itself is compiled with the body, once per policy.
   const PhasedBody::Runner& run_phase = phased.runner(
       analysis_ != nullptr ? AccessPolicy::kArmed : AccessPolicy::kOff);
   for (std::size_t phase = 0; phase < phased.phases; ++phase) {
@@ -165,87 +142,6 @@ void WorkGroupExecutor::run_phased_group(const PhasedBody& phased,
     }
     run_phase(ctx, args, phase, states);
   }
-}
-
-bool WorkGroupExecutor::run_fiber_group(const Kernel& kernel,
-                                        const KernelArgs& args,
-                                        const WorkItemCtx& proto) {
-  const std::size_t n = proto.local_size_;
-  std::vector<WorkItemCtx> items(n, proto);
-  std::vector<Fiber*> fibers = pool_.acquire(n);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    WorkItemCtx& ctx = items[i];
-    ctx.local_id_ = i;
-    ctx.global_id_ = proto.group_id_ * n + i;
-    ctx.fiber_ = fibers[i];
-    fibers[i]->start([&kernel, &args, &ctx] { kernel.body(ctx, args); });
-  }
-
-  // On any work-item exception: mark the group aborting, drain every
-  // parked fiber (each unwinds via KernelAborted at its barrier), then
-  // rethrow the original error. This keeps the fiber pool reusable.
-  auto drain_group = [&] {
-    group_.aborting = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (items[i].state_ == detail::ItemState::kDone) continue;
-      try {
-        while (fibers[i]->resume()) {
-        }
-      } catch (...) {
-        // Secondary failures (including KernelAborted) are expected here.
-      }
-      items[i].state_ = detail::ItemState::kDone;
-    }
-  };
-
-  // Round-robin between barriers: each pass resumes every live work-item
-  // until it either finishes or parks at the next barrier.
-  std::size_t alive = n;
-  try {
-    while (alive > 0) {
-      std::size_t at_barrier = 0;
-      std::size_t finished_this_pass = 0;
-      for (std::size_t i = 0; i < n; ++i) {
-        WorkItemCtx& ctx = items[i];
-        if (ctx.state_ == detail::ItemState::kDone) continue;
-        ctx.state_ = detail::ItemState::kRunnable;
-        const bool still_alive = fibers[i]->resume();
-        if (!still_alive) {
-          ctx.state_ = detail::ItemState::kDone;
-          --alive;
-          ++finished_this_pass;
-        } else {
-          BINOPT_ENSURE(ctx.state_ == detail::ItemState::kAtBarrier,
-                        "work-item yielded without reaching a barrier");
-          ++at_barrier;
-        }
-      }
-      // Every live work-item is now parked at a barrier. OpenCL requires
-      // the *whole* group at each barrier: if any work-item returned
-      // during a pass in which others parked, the group has divergent
-      // barrier counts (undefined behaviour on real hardware). Under the
-      // analyzer this becomes a diagnostic and the group is drained so the
-      // rest of the range can still be checked; otherwise we fail loudly.
-      if (at_barrier != 0 && finished_this_pass != 0 &&
-          analysis_ != nullptr) {
-        analysis_->record_barrier_divergence(at_barrier, finished_this_pass);
-        drain_group();
-        return false;
-      }
-      BINOPT_REQUIRE(at_barrier == 0 || finished_this_pass == 0,
-                     "barrier divergence in kernel '", kernel.name, "': ",
-                     at_barrier, " work-items at a barrier while ",
-                     finished_this_pass, " returned in the same pass");
-      // The whole group has crossed this barrier: accesses after it are
-      // ordered against everything before it.
-      if (at_barrier > 0 && analysis_ != nullptr) analysis_->advance_epoch();
-    }
-  } catch (...) {
-    drain_group();
-    throw;
-  }
-  return true;
 }
 
 }  // namespace binopt::ocl

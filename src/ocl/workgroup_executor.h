@@ -1,7 +1,7 @@
 // NDRange execution engine: work-groups, work-items, barriers, local memory.
 //
-// One executor drives work-groups sequentially on the calling thread. A
-// kernel that synchronises runs in one of two ways:
+// One executor drives work-groups sequentially on the calling thread, in
+// one of two ways per kernel form:
 //
 //   - Phased (coalesced): a kernel written as barrier-delimited phases
 //     (PhasedBody, make_phased_kernel) runs each phase as a plain loop
@@ -10,33 +10,24 @@
 //     body (make_phased_kernel instantiates it once per AccessPolicy), so
 //     the executor makes one call per (group, phase), picking the
 //     analyzer-armed or analyzer-off instance, and the body is inlined
-//     into the loop.
-//     Private memory that outlives a barrier lives in a per-item state
-//     arena the executor owns and reuses; there are no fibers and no
-//     per-item stacks, and a warmed-up executor allocates nothing per
-//     group. This is the production path (kernel IV.B).
-//   - Lambda on fibers: a lambda body that calls barrier() runs every
-//     work-item on a fiber, and the executor resumes items 0..n-1 in turn
-//     until each finishes or parks at its next barrier.
+//     into the loop. Between two phases the whole group crosses one
+//     barrier. Private memory that outlives a barrier lives in a per-item
+//     state arena the executor owns and reuses; a warmed-up executor
+//     allocates nothing per group. This is kernel IV.B's form.
+//   - Lambda: a body with no barriers runs as one direct call per
+//     work-item, items in local-id order (kernel IV.A).
 //
-// The two orders are identical: a fiber pass runs exactly one barrier
-// region of each work-item, items in local-id order, which is the
-// coalesced loop's order. A kernel written both ways therefore produces
-// bit-identical results and RuntimeStats, racy kernels included, and the
-// hazard analyzer sees the same accesses in the same barrier epochs.
-// Lambda bodies that never synchronise (uses_barriers = false) run as
-// direct calls.
+// A barrier is a phase boundary and nothing else, so every work-item of a
+// group crosses every barrier by construction: the divergent barrier that
+// real OpenCL leaves undefined cannot be written. For kernels described
+// by an IR, the static lint (static-divergent-barrier) and the symbolic
+// verifier's convergence proof check the same property.
 //
 // Device-level parallelism (independent work-groups on parallel compute
 // units) is layered on top by ComputeUnitScheduler: each worker thread
-// owns a *private* executor — private fiber pool, state and local-memory
-// arenas — and pulls disjoint group ranges through execute_group(). An
-// executor instance itself is strictly single-threaded.
-//
-// Barrier contract enforced (and its violation *detected*, where real
-// OpenCL would be silently undefined): if any work-item of a group reaches
-// a barrier, every work-item must reach it before finishing the kernel.
-// Phased kernels satisfy it by construction.
+// owns a *private* executor — private state and local-memory arenas — and
+// pulls disjoint group ranges through execute_group(). An executor
+// instance itself is strictly single-threaded.
 //
 // With the hazard analyzer enabled (enable_analysis), the executor also
 // maintains barrier-epoch bookkeeping: every time the whole group crosses
@@ -44,8 +35,7 @@
 // against the current epoch in the analyzer's shadow memory. Two accesses
 // to the same local byte by different work-items in the same epoch have no
 // barrier between them — OpenCL's intra-group race — and are reported with
-// work-item coordinates and both access sites. Barrier divergence is then
-// reported as a diagnostic (and the group drained) instead of thrown.
+// work-item coordinates and both access sites.
 #pragma once
 
 #include <cstddef>
@@ -55,7 +45,6 @@
 #include "common/error.h"
 #include "ocl/analyzer/shadow.h"
 #include "ocl/buffer.h"
-#include "ocl/fiber.h"
 #include "ocl/kernel.h"
 #include "ocl/stats.h"
 #include "ocl/types.h"
@@ -63,20 +52,12 @@
 
 namespace binopt::ocl {
 
-namespace detail {
-
-/// Thrown inside parked work-items to unwind their stacks when the group
-/// aborts (another work-item raised). Never escapes the executor.
-struct KernelAborted {};
-
-}  // namespace detail
-
 /// Drives a full NDRange: phased kernels as coalesced loops, lambda
-/// kernels that synchronise over the fiber pool.
+/// kernels as direct calls.
 class WorkGroupExecutor {
 public:
-  WorkGroupExecutor(std::size_t local_mem_bytes, std::size_t max_workgroup_size,
-                    std::size_t stack_bytes = Fiber::kDefaultStackBytes);
+  WorkGroupExecutor(std::size_t local_mem_bytes,
+                    std::size_t max_workgroup_size);
 
   /// Executes every work-group of `range` with the given kernel and args.
   /// Updates `stats` with work-item counts, barrier counts, and memory
@@ -117,14 +98,9 @@ private:
                  std::size_t group_id, RuntimeStats& stats);
   void run_phased_group(const PhasedBody& phased, const KernelArgs& args,
                         const WorkItemCtx& ctx);
-  /// Returns false when a divergent group was drained under the
-  /// analyzer (it then counts as not executed).
-  bool run_fiber_group(const Kernel& kernel, const KernelArgs& args,
-                       const WorkItemCtx& proto);
 
   std::size_t local_mem_bytes_;
   std::size_t max_workgroup_size_;
-  FiberPool pool_;
   std::vector<std::byte> arena_;  ///< local-memory storage, reused per group
   /// Phased kernels' per-work-item private state, reused per group.
   std::vector<std::max_align_t> state_arena_;

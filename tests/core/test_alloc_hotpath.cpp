@@ -296,19 +296,15 @@ TEST(AllocHotPath, PhasedKernelGroupsMakeZeroHeapAllocations) {
   EXPECT_EQ(stats.barriers_executed,
             (kGroups + 1) * kTreeSteps * (2 * kTreeSteps + 1));
 
-  // Control: the hooks do see executor allocations — a lambda kernel that
-  // synchronises runs on fibers, which allocate per group.
-  ocl::Kernel fiber_kernel;
-  fiber_kernel.name = "fiber_barrier";
-  fiber_kernel.body = [](ocl::WorkItemCtx& ctx, const ocl::KernelArgs&) {
-    ctx.barrier();
-  };
-  executor.execute_group(fiber_kernel, args, range, 0, stats);  // warm-up
-  const std::uint64_t fiber_before =
+  // Control: the hooks do see executor allocations — a fresh executor's
+  // first group grows its local arena, allocation log and state arena.
+  ocl::WorkGroupExecutor fresh(device.limits().local_mem_bytes,
+                               device.limits().max_workgroup_size);
+  const std::uint64_t fresh_before =
       g_heap_allocations.load(std::memory_order_relaxed);
-  executor.execute_group(fiber_kernel, args, range, 1, stats);
+  fresh.execute_group(phased, args, range, 0, stats);
   EXPECT_GT(g_heap_allocations.load(std::memory_order_relaxed),
-            fiber_before);
+            fresh_before);
 }
 
 }  // namespace

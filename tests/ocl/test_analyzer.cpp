@@ -1,13 +1,16 @@
 // Kernel hazard analyzer tests (src/ocl/analyzer/).
 //
-// Four seeded-bug kernels — the classic OpenCL-port mistakes on the
-// paper's kernels — must each be flagged with correct work-item/offset
+// Three seeded-bug kernels — classic OpenCL-port mistakes on the paper's
+// kernels — must each be flagged with correct work-item/offset
 // attribution:
 //   1. kernel IV.B's backward loop with the second barrier removed
 //      (read/write race on the shared local value row),
 //   2. an out-of-bounds global read at the last tree level,
-//   3. a read of the local row before any work-item initialised it,
-//   4. a barrier under work-item-dependent control flow.
+//   3. a read of the local row before any work-item initialised it.
+// Kernels that synchronise are barrier-phased kernels, whose barriers
+// every work-item crosses by construction; a barrier under
+// work-item-dependent control flow is the static IR lint's finding
+// (IrLint.DivergentBarrierSiteIsFlagged).
 // The clean paper kernels must produce zero diagnostics (with
 // compute_units > 1), and the disabled analyzer must change nothing:
 // identical prices, bit-identical RuntimeStats.
@@ -65,28 +68,42 @@ const Hazard* find_hazard(const std::vector<Hazard>& hazards, HazardKind kind) {
 // work-item k-1's load of the same element in the same epoch.
 // ---------------------------------------------------------------------------
 
+/// A work-item's node value, carried from the phase that loads it to the
+/// phase that stores it.
+struct NodeState {
+  double v = 0.0;
+};
+
 Kernel make_missing_barrier_kernel(std::size_t steps) {
-  Kernel kernel;
-  kernel.name = "seeded_missing_barrier";
-  kernel.body = [steps](WorkItemCtx& ctx, const KernelArgs& args) {
-    auto results = ctx.global<double>(args.buffer(0));
-    const std::size_t n = steps;
-    const std::size_t k = ctx.local_id();
-    auto values = ctx.local_array<double>(n + 1);
-    values.set(k, static_cast<double>(k));
-    if (k == n - 1) values.set(n, static_cast<double>(n));
-    ctx.barrier();
-    for (std::size_t t = n; t-- > 0;) {
-      double v = 0.0;
-      if (k <= t) v = 0.5 * (values.get(k) + values.get(k + 1));
-      ctx.barrier();
-      if (k <= t) values.set(k, v);
-      // BUG: no second barrier — the next iteration's loads race with
-      // this store. (The correct kernel has ctx.barrier() here.)
-    }
-    if (k == 0) results.set(ctx.group_id(), values.get(0));
-  };
-  return kernel;
+  // Phase 0 fills the row; phase 1 loads level t = n-1; phase p in 2..n
+  // stores level n-p+1 and then, with no barrier between (the BUG: the
+  // correct kernel ends the phase here), loads level n-p; phase n+1
+  // stores level 0 and publishes the root.
+  return make_phased_kernel<NodeState>(
+      "seeded_missing_barrier", steps + 2,
+      [steps](WorkItemCtx& ctx, const KernelArgs& args, std::size_t phase,
+              NodeState& st) {
+        const std::size_t n = steps;
+        const std::size_t k = ctx.local_id();
+        auto values = ctx.local_array<double>(n + 1);
+        if (phase == 0) {
+          values.set(k, static_cast<double>(k));
+          if (k == n - 1) values.set(n, static_cast<double>(n));
+          return;
+        }
+        if (phase >= 2) {
+          const std::size_t stored = n + 1 - phase;
+          if (k <= stored) values.set(k, st.v);
+        }
+        if (phase <= n) {
+          const std::size_t t = n - phase;
+          st.v = 0.0;
+          if (k <= t) st.v = 0.5 * (values.get(k) + values.get(k + 1));
+          return;
+        }
+        auto results = ctx.global<double>(args.buffer(0));
+        if (k == 0) results.set(ctx.group_id(), values.get(0));
+      });
 }
 
 TEST(AnalyzerSeededBugs, MissingBarrierRaceIsFlaggedWithAttribution) {
@@ -135,25 +152,32 @@ TEST(AnalyzerSeededBugs, CorrectTwoBarrierLoopIsClean) {
                                                      "results");
 
   constexpr std::size_t kSteps = 8;
-  Kernel kernel;
-  kernel.name = "two_barrier_loop";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs& args) {
-    auto results = ctx.global<double>(args.buffer(0));
-    const std::size_t n = ctx.local_size();
-    const std::size_t k = ctx.local_id();
-    auto values = ctx.local_array<double>(n + 1);
-    values.set(k, static_cast<double>(k));
-    if (k == n - 1) values.set(n, static_cast<double>(n));
-    ctx.barrier();
-    for (std::size_t t = n; t-- > 0;) {
-      double v = 0.0;
-      if (k <= t) v = 0.5 * (values.get(k) + values.get(k + 1));
-      ctx.barrier();
-      if (k <= t) values.set(k, v);
-      ctx.barrier();  // the barrier the seeded kernel dropped
-    }
-    if (k == 0) results.set(ctx.group_id(), values.get(0));
-  };
+  // Phase 0 fills the row; level t = n-1-j loads in phase 1+2j and stores
+  // in phase 2+2j, so a barrier follows every store (the one the seeded
+  // kernel dropped); phase 2n+1 publishes the root.
+  const Kernel kernel = make_phased_kernel<NodeState>(
+      "two_barrier_loop", 2 * kSteps + 2,
+      [](WorkItemCtx& ctx, const KernelArgs& args, std::size_t phase,
+         NodeState& st) {
+        const std::size_t n = ctx.local_size();
+        const std::size_t k = ctx.local_id();
+        auto values = ctx.local_array<double>(n + 1);
+        if (phase == 0) {
+          values.set(k, static_cast<double>(k));
+          if (k == n - 1) values.set(n, static_cast<double>(n));
+        } else if (phase <= 2 * n) {
+          const std::size_t t = n - 1 - (phase - 1) / 2;
+          if (phase % 2 == 1) {
+            st.v = 0.0;
+            if (k <= t) st.v = 0.5 * (values.get(k) + values.get(k + 1));
+          } else if (k <= t) {
+            values.set(k, st.v);
+          }
+        } else {
+          auto results = ctx.global<double>(args.buffer(0));
+          if (k == 0) results.set(ctx.group_id(), values.get(0));
+        }
+      });
   KernelArgs args;
   args.set(0, &results);
   queue.enqueue_ndrange(kernel, args, NDRange{kSteps, kSteps});
@@ -232,19 +256,22 @@ TEST(AnalyzerSeededBugs, UninitializedLocalReadIsFlagged) {
   Buffer& out = context.create_buffer_of<double>(8, MemFlags::kWriteOnly,
                                                  "out");
 
-  Kernel kernel;
-  kernel.name = "seeded_uninit_local";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs& args) {
-    auto out = ctx.global<double>(args.buffer(0));
-    const std::size_t k = ctx.local_id();
-    auto values = ctx.local_array<double>(ctx.local_size());
-    // BUG: values[k] is read before the (forgotten) initialisation.
-    const double v = values.get(k);
-    ctx.barrier();
-    values.set(k, v + 1.0);
-    ctx.barrier();
-    out.set(ctx.global_id(), values.get(k));
-  };
+  const Kernel kernel = make_phased_kernel<NodeState>(
+      "seeded_uninit_local", 3,
+      [](WorkItemCtx& ctx, const KernelArgs& args, std::size_t phase,
+         NodeState& st) {
+        const std::size_t k = ctx.local_id();
+        auto values = ctx.local_array<double>(ctx.local_size());
+        if (phase == 0) {
+          // BUG: values[k] is read before the (forgotten) initialisation.
+          st.v = values.get(k);
+        } else if (phase == 1) {
+          values.set(k, st.v + 1.0);
+        } else {
+          auto out = ctx.global<double>(args.buffer(0));
+          out.set(ctx.global_id(), values.get(k));
+        }
+      });
   KernelArgs args;
   args.set(0, &out);
   queue.enqueue_ndrange(kernel, args, NDRange{8, 8});
@@ -260,56 +287,6 @@ TEST(AnalyzerSeededBugs, UninitializedLocalReadIsFlagged) {
   // Work-item 0 runs first and reads element 0.
   EXPECT_EQ(uninit->second.work_item, 0u);
   EXPECT_EQ(uninit->byte_offset, 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Seeded bug 4: barrier under work-item-dependent control flow. With the
-// analyzer on this becomes a diagnostic (and the group is drained); with
-// it off the executor keeps throwing as before.
-// ---------------------------------------------------------------------------
-
-Kernel make_divergent_barrier_kernel() {
-  Kernel kernel;
-  kernel.name = "seeded_divergent_barrier";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    // BUG: only the lower half of the group reaches the barrier.
-    if (ctx.local_id() < ctx.local_size() / 2) ctx.barrier();
-  };
-  return kernel;
-}
-
-TEST(AnalyzerSeededBugs, DivergentBarrierIsFlaggedNotThrown) {
-  Device device = make_device();
-  enable_analyzer(device);
-  Context context(device);
-  CommandQueue queue(context);
-
-  KernelArgs args;
-  EXPECT_NO_THROW(queue.enqueue_ndrange(make_divergent_barrier_kernel(), args,
-                                        NDRange{8, 8}));
-
-  const an::HazardReport& report = device.hazard_report();
-  ASSERT_EQ(report.count(HazardKind::kBarrierDivergence), 1u);
-  const std::vector<Hazard> hazards = report.hazards();
-  const Hazard* div = find_hazard(hazards, HazardKind::kBarrierDivergence);
-  ASSERT_NE(div, nullptr);
-  EXPECT_EQ(div->kernel, "seeded_divergent_barrier");
-  EXPECT_NE(div->message.find("4 work-item(s) reached a barrier"),
-            std::string::npos)
-      << div->message;
-  EXPECT_NE(div->message.find("4 returned without it"), std::string::npos)
-      << div->message;
-}
-
-TEST(AnalyzerSeededBugs, DivergentBarrierStillThrowsWithAnalyzerOff) {
-  Device device("plain", DeviceKind::kFpga,
-                DeviceLimits{16 * kMiB, 16 * 1024, 64, 1});
-  Context context(device);
-  CommandQueue queue(context);
-  KernelArgs args;
-  EXPECT_THROW(queue.enqueue_ndrange(make_divergent_barrier_kernel(), args,
-                                     NDRange{8, 8}),
-               Error);
 }
 
 // ---------------------------------------------------------------------------

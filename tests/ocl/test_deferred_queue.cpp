@@ -70,7 +70,6 @@ TEST_F(DeferredQueueTest, KernelRunsAtFinishWithCapturedArgs) {
       context_.create_buffer_of<double>(8, MemFlags::kReadWrite, "b");
   Kernel kernel;
   kernel.name = "fill";
-  kernel.uses_barriers = false;
   kernel.body = [&buffer](WorkItemCtx& ctx, const KernelArgs& args) {
     auto view = ctx.global<double>(args.buffer(0));
     view.set(ctx.global_id(), args.f64(1));
@@ -118,7 +117,6 @@ TEST_F(DeferredQueueTest, ThrowingCommandDrainsQueueAndMarksPrefix) {
 
   Kernel bad;
   bad.name = "thrower";
-  bad.uses_barriers = false;
   bad.body = [](WorkItemCtx&, const KernelArgs&) {
     throw InvariantError("deferred boom");
   };
@@ -147,7 +145,6 @@ TEST_F(DeferredQueueTest, NoDoubleExecutionOnNextFinish) {
 
   Kernel bad;
   bad.name = "thrower";
-  bad.uses_barriers = false;
   bad.body = [](WorkItemCtx&, const KernelArgs&) {
     throw InvariantError("deferred boom");
   };
@@ -174,7 +171,6 @@ TEST_F(DeferredQueueTest, QueueReusableAfterFailedFinish) {
 
   Kernel bad;
   bad.name = "thrower";
-  bad.uses_barriers = false;
   bad.body = [](WorkItemCtx&, const KernelArgs&) {
     throw InvariantError("deferred boom");
   };

@@ -1,6 +1,6 @@
 // Execution-model tests: NDRange ids, barrier semantics (the property the
-// whole kernel IV.B reproduction rests on), local memory discipline, and
-// divergence detection.
+// whole kernel IV.B reproduction rests on) through barrier-phased kernels,
+// local memory discipline, and error propagation.
 #include "ocl/workgroup_executor.h"
 
 #include <gtest/gtest.h>
@@ -12,6 +12,9 @@
 
 namespace binopt::ocl {
 namespace {
+
+// Private state for phased kernels that carry nothing across barriers.
+struct NoState {};
 
 class ExecutorTest : public ::testing::Test {
 protected:
@@ -43,15 +46,17 @@ TEST_F(ExecutorTest, BarrierMakesLocalWritesVisible) {
   // Work-item i writes slot i, then after a barrier reads neighbour i+1.
   // Without real barrier semantics the read would see stale data.
   std::vector<double> observed(16, -1.0);
-  Kernel kernel;
-  kernel.name = "neighbour_exchange";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    auto row = ctx.local_array<double>(ctx.local_size());
-    row.set(ctx.local_id(), static_cast<double>(ctx.local_id()) * 10.0);
-    ctx.barrier();
-    const std::size_t next = (ctx.local_id() + 1) % ctx.local_size();
-    observed[ctx.global_id()] = row.get(next);
-  };
+  const Kernel kernel = make_phased_kernel<NoState>(
+      "neighbour_exchange", 2,
+      [&](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, NoState&) {
+        auto row = ctx.local_array<double>(ctx.local_size());
+        if (phase == 0) {
+          row.set(ctx.local_id(), static_cast<double>(ctx.local_id()) * 10.0);
+          return;
+        }
+        const std::size_t next = (ctx.local_id() + 1) % ctx.local_size();
+        observed[ctx.global_id()] = row.get(next);
+      });
   KernelArgs args;
   executor_.execute(kernel, args, NDRange{16, 16}, stats_);
   for (std::size_t i = 0; i < 16; ++i) {
@@ -63,65 +68,46 @@ TEST_F(ExecutorTest, BarrierMakesLocalWritesVisible) {
 TEST_F(ExecutorTest, MultiPhaseBarrierPipeline) {
   // Parallel reduction across 3 barrier phases — each phase must observe
   // the previous phase's local stores from every work-item.
+  // Phase 0 fills, phases 1..3 halve the stride (4, 2, 1), phase 4 reads.
   double result = 0.0;
-  Kernel kernel;
-  kernel.name = "reduction";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    const std::size_t n = ctx.local_size();
-    auto scratch = ctx.local_array<double>(n);
-    scratch.set(ctx.local_id(), static_cast<double>(ctx.local_id() + 1));
-    ctx.barrier();
-    for (std::size_t stride = n / 2; stride > 0; stride /= 2) {
-      if (ctx.local_id() < stride) {
-        scratch.set(ctx.local_id(), scratch.get(ctx.local_id()) +
-                                        scratch.get(ctx.local_id() + stride));
-      }
-      ctx.barrier();
-    }
-    if (ctx.local_id() == 0) result = scratch.get(0);
-  };
+  constexpr std::size_t kStrides = 3;  // log2 of the 8-item group
+  const Kernel kernel = make_phased_kernel<NoState>(
+      "reduction", kStrides + 2,
+      [&](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, NoState&) {
+        const std::size_t n = ctx.local_size();
+        auto scratch = ctx.local_array<double>(n);
+        if (phase == 0) {
+          scratch.set(ctx.local_id(), static_cast<double>(ctx.local_id() + 1));
+        } else if (phase <= kStrides) {
+          const std::size_t stride = n >> phase;
+          if (ctx.local_id() < stride) {
+            scratch.set(ctx.local_id(),
+                        scratch.get(ctx.local_id()) +
+                            scratch.get(ctx.local_id() + stride));
+          }
+        } else if (ctx.local_id() == 0) {
+          result = scratch.get(0);
+        }
+      });
   KernelArgs args;
   executor_.execute(kernel, args, NDRange{8, 8}, stats_);
   EXPECT_DOUBLE_EQ(result, 36.0);  // 1+...+8
 }
 
-TEST_F(ExecutorTest, BarrierDivergenceIsDetected) {
-  Kernel kernel;
-  kernel.name = "divergent";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    if (ctx.local_id() == 0) ctx.barrier();  // only one item synchronises
-  };
-  KernelArgs args;
-  EXPECT_THROW(executor_.execute(kernel, args, NDRange{4, 4}, stats_),
-               PreconditionError);
-}
-
-TEST_F(ExecutorTest, MismatchedBarrierCountsAreDetected) {
-  Kernel kernel;
-  kernel.name = "count_mismatch";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    ctx.barrier();
-    if (ctx.local_id() == 0) ctx.barrier();  // extra barrier on one item
-  };
-  KernelArgs args;
-  EXPECT_THROW(executor_.execute(kernel, args, NDRange{4, 4}, stats_),
-               PreconditionError);
-}
-
 TEST_F(ExecutorTest, LocalAllocationSharedAcrossGroup) {
-  Kernel kernel;
-  kernel.name = "shared_alloc";
   std::vector<double> sums(2, 0.0);
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    auto a = ctx.local_array<double>(4);
-    a.set(ctx.local_id(), 1.0);
-    ctx.barrier();
-    if (ctx.local_id() == 0) {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < 4; ++i) sum += a.get(i);
-      sums[ctx.group_id()] = sum;
-    }
-  };
+  const Kernel kernel = make_phased_kernel<NoState>(
+      "shared_alloc", 2,
+      [&](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, NoState&) {
+        auto a = ctx.local_array<double>(4);
+        if (phase == 0) {
+          a.set(ctx.local_id(), 1.0);
+        } else if (ctx.local_id() == 0) {
+          double sum = 0.0;
+          for (std::size_t i = 0; i < 4; ++i) sum += a.get(i);
+          sums[ctx.group_id()] = sum;
+        }
+      });
   KernelArgs args;
   executor_.execute(kernel, args, NDRange{8, 4}, stats_);
   EXPECT_DOUBLE_EQ(sums[0], 4.0);
@@ -129,14 +115,13 @@ TEST_F(ExecutorTest, LocalAllocationSharedAcrossGroup) {
 }
 
 TEST_F(ExecutorTest, DivergentLocalAllocationSizeThrows) {
-  Kernel kernel;
-  kernel.name = "divergent_alloc";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    // Different sizes per work-item: illegal static local allocation.
-    auto a = ctx.local_array<double>(ctx.local_id() + 1);
-    (void)a;
-    ctx.barrier();
-  };
+  const Kernel kernel = make_phased_kernel<NoState>(
+      "divergent_alloc", 2,
+      [](WorkItemCtx& ctx, const KernelArgs&, std::size_t, NoState&) {
+        // Different sizes per work-item: illegal static local allocation.
+        auto a = ctx.local_array<double>(ctx.local_id() + 1);
+        (void)a;
+      });
   KernelArgs args;
   EXPECT_THROW(executor_.execute(kernel, args, NDRange{4, 4}, stats_),
                PreconditionError);
@@ -157,23 +142,12 @@ TEST_F(ExecutorTest, LocalMemoryExhaustionThrows) {
 TEST_F(ExecutorTest, FastPathRunsBarrierFreeKernels) {
   Kernel kernel;
   kernel.name = "fast";
-  kernel.uses_barriers = false;
   std::size_t count = 0;
   kernel.body = [&](WorkItemCtx&, const KernelArgs&) { ++count; };
   KernelArgs args;
   executor_.execute(kernel, args, NDRange{64, 16}, stats_);
   EXPECT_EQ(count, 64u);
   EXPECT_EQ(stats_.work_items_executed, 64u);
-}
-
-TEST_F(ExecutorTest, BarrierInFastPathKernelThrows) {
-  Kernel kernel;
-  kernel.name = "lying_kernel";
-  kernel.uses_barriers = false;
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) { ctx.barrier(); };
-  KernelArgs args;
-  EXPECT_THROW(executor_.execute(kernel, args, NDRange{2, 2}, stats_),
-               PreconditionError);
 }
 
 TEST_F(ExecutorTest, ValidatesNDRange) {
@@ -190,12 +164,13 @@ TEST_F(ExecutorTest, ValidatesNDRange) {
 }
 
 TEST_F(ExecutorTest, KernelExceptionsPropagate) {
-  Kernel kernel;
-  kernel.name = "thrower";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    if (ctx.global_id() == 3) throw PreconditionError("kernel bug");
-    ctx.barrier();
-  };
+  const Kernel kernel = make_phased_kernel<NoState>(
+      "thrower", 2,
+      [](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, NoState&) {
+        if (phase == 0 && ctx.global_id() == 3) {
+          throw PreconditionError("kernel bug");
+        }
+      });
   KernelArgs args;
   EXPECT_THROW(executor_.execute(kernel, args, NDRange{8, 8}, stats_),
                PreconditionError);
@@ -205,7 +180,6 @@ TEST_F(ExecutorTest, GlobalAccessorsCountTraffic) {
   Buffer buffer(8 * sizeof(double), MemFlags::kReadWrite, "buf");
   Kernel kernel;
   kernel.name = "traffic";
-  kernel.uses_barriers = false;
   kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
     auto view = ctx.global<double>(buffer);
     view.set(ctx.global_id(), 1.5);

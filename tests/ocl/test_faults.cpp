@@ -2,13 +2,19 @@
 // validation, deterministic firing, typed errors with full attribution,
 // the command-queue watchdog, and the disabled-mode bit-identity
 // guarantee (a plan that never fires must not change prices, stats, or
-// events by a single bit).
+// events by a single bit), plus seeded property tests of the spec parser.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <exception>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/rng.h"
 
 #include "ocl/context.h"
 #include "ocl/device.h"
@@ -31,7 +37,6 @@ Device make_device(std::size_t compute_units = 1) {
 Kernel make_scale_kernel(double scale = 3.0) {
   Kernel kernel;
   kernel.name = "scale";
-  kernel.uses_barriers = false;
   kernel.body = [scale](WorkItemCtx& ctx, const KernelArgs& args) {
     auto out = ctx.global<double>(args.buffer(0));
     out.set(ctx.global_id(), static_cast<double>(ctx.global_id()) * scale);
@@ -146,6 +151,220 @@ TEST(FaultPlanParse, RejectsBadGlobals) {
                   "capped at 3600000");
   expect_rejected([] { (void)parse_fault_plan("seed=abc"); },
                   "must be an unsigned integer");
+}
+
+// ---------------------------------------------------------------------------
+// Parser properties over SplitMix64-generated specs. Case i draws from its
+// own seed, kPropertySeed + i, which every failure prints, so a failing
+// case replays alone.
+
+constexpr std::uint64_t kPropertySeed = 0x5eedfa17ull;
+constexpr std::size_t kPropertyCases = 100'000;
+constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+
+constexpr FaultKind kAllKinds[] = {
+    FaultKind::kDeviceLost, FaultKind::kTransient,   FaultKind::kStall,
+    FaultKind::kCuDeath,    FaultKind::kReadError,   FaultKind::kCorruptRead,
+    FaultKind::kWriteError};
+
+/// Uniform in [lo, hi] (hi - lo < 2^64 - 1), or in [lo, lo + 16] half the
+/// time so that small values come up often too.
+std::uint64_t draw(SplitMix64& rng, std::uint64_t lo, std::uint64_t hi) {
+  const std::uint64_t span =
+      rng.below(2) == 0 ? std::min<std::uint64_t>(hi - lo, 16) : hi - lo;
+  return lo + rng.below(span + 1);
+}
+
+/// `v` in decimal, now and then with the leading zeros the grammar allows.
+std::string decimal(SplitMix64& rng, std::uint64_t v) {
+  const std::size_t zeros = rng.below(4) == 0 ? rng.below(3) : 0;
+  return std::string(zeros, '0') + std::to_string(v);
+}
+
+/// `text` with whitespace inserted anywhere; the parser drops all of it.
+std::string sprinkle(SplitMix64& rng, const std::string& text) {
+  static constexpr char kSpaces[] = {' ', '\t', '\n'};
+  std::string out;
+  for (const char c : text) {
+    while (rng.below(8) == 0) out.push_back(kSpaces[rng.below(3)]);
+    out.push_back(c);
+  }
+  return out;
+}
+
+/// A valid spec and the plan it must parse to: up to five clauses, fault
+/// or global, with a later global overriding an earlier one.
+std::pair<std::string, FaultPlan> generate_valid_plan(SplitMix64& rng) {
+  FaultPlan want;
+  std::string spec;
+  const std::size_t clauses = rng.below(6);
+  for (std::size_t i = 0; i < clauses; ++i) {
+    std::string text;
+    const std::uint64_t shape = rng.below(5);
+    if (shape == 0) {
+      const std::uint64_t ms = draw(rng, 1, 3'600'000);
+      text = "watchdog-ms=" + decimal(rng, ms);
+      want.watchdog_ns = ms * 1'000'000ull;
+    } else if (shape == 1) {
+      want.seed = rng.below(2) == 0 ? rng() : rng.below(100);
+      text = "seed=" + decimal(rng, want.seed);
+    } else {
+      faults::FaultClause c;
+      c.kind = kAllKinds[rng.below(7)];
+      text = faults::to_string(c.kind) + "@";
+      if (rng.below(3) == 0) {
+        c.percent = static_cast<std::uint32_t>(draw(rng, 1, 100));
+        text += "~" + decimal(rng, c.percent);
+      } else {
+        c.ordinal = draw(rng, 1, kU64Max);
+        text += decimal(rng, c.ordinal);
+        const std::uint64_t room = kU64Max - c.ordinal;  // count <= room
+        if (room >= 1 && rng.below(2) == 0) {
+          c.count = draw(rng, 1, room);
+          text += "x" + decimal(rng, c.count);
+        }
+      }
+      for (std::uint64_t p = rng.below(3); p > 0; --p) {
+        if (c.kind == FaultKind::kStall) {
+          c.stall_ms = draw(rng, 1, 60'000);
+          text += ",ms=" + decimal(rng, c.stall_ms);
+        } else if (c.kind == FaultKind::kCuDeath) {
+          c.cu = draw(rng, 0, kMaxComputeUnits - 1);
+          text += ",cu=" + decimal(rng, c.cu);
+        }
+      }
+      want.clauses.push_back(c);
+    }
+    spec += sprinkle(rng, text);
+    // Clause separator, with the occasional stray empty clause.
+    if (i + 1 < clauses || rng.below(2) == 0) spec += ';';
+    while (rng.below(8) == 0) spec += ';';
+  }
+  return {spec, want};
+}
+
+::testing::AssertionResult same_plan(const FaultPlan& got,
+                                     const FaultPlan& want) {
+  if (got.clauses.size() != want.clauses.size()) {
+    return ::testing::AssertionFailure()
+           << got.clauses.size() << " clauses, want " << want.clauses.size();
+  }
+  for (std::size_t i = 0; i < want.clauses.size(); ++i) {
+    const faults::FaultClause& g = got.clauses[i];
+    const faults::FaultClause& w = want.clauses[i];
+    if (g.kind != w.kind || g.ordinal != w.ordinal || g.count != w.count ||
+        g.percent != w.percent || g.stall_ms != w.stall_ms || g.cu != w.cu) {
+      return ::testing::AssertionFailure()
+             << "clause " << i << ": got " << faults::to_string(g.kind)
+             << " ordinal " << g.ordinal << " count " << g.count
+             << " percent " << g.percent << " ms " << g.stall_ms << " cu "
+             << g.cu << ", want " << faults::to_string(w.kind) << " ordinal "
+             << w.ordinal << " count " << w.count << " percent " << w.percent
+             << " ms " << w.stall_ms << " cu " << w.cu;
+    }
+  }
+  if (got.seed != want.seed || got.watchdog_ns != want.watchdog_ns) {
+    return ::testing::AssertionFailure()
+           << "seed " << got.seed << " watchdog_ns " << got.watchdog_ns
+           << ", want seed " << want.seed << " watchdog_ns "
+           << want.watchdog_ns;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(FaultPlanProperty, GeneratedValidPlansRoundTripFieldForField) {
+  for (std::size_t i = 0; i < kPropertyCases; ++i) {
+    const std::uint64_t seed = kPropertySeed + i;
+    SplitMix64 rng(seed);
+    const auto [spec, want] = generate_valid_plan(rng);
+    FaultPlan got;
+    try {
+      got = parse_fault_plan(spec);
+    } catch (const std::exception& e) {
+      FAIL() << "seed " << seed << ": valid spec '" << spec
+             << "' was rejected: " << e.what();
+    }
+    ASSERT_TRUE(same_plan(got, want)) << "seed " << seed << ", spec '"
+                                      << spec << "'";
+  }
+}
+
+/// Random concatenations of grammar fragments, near misses and junk.
+std::string token_soup(SplitMix64& rng) {
+  static const char* const kTokens[] = {
+      "device-lost", "transient", "stall", "cu-death", "read-error",
+      "corrupt-read", "write-error", "device-gone", "stal", "@", "@", "@",
+      "~", "x", "X", ",", ",", ";", ";", "=", "ms", "ms=", "cu", "cu=",
+      "seed=", "seed", "watchdog-ms=", "watchdog-ms", "-", "+", " ", "\t",
+      "0", "1", "2", "7", "00", "42", "99", "100", "101", "60000", "60001",
+      "1023", "1024", "3600000", "3600001", "18446744073709551615",
+      "18446744073709551616", "99999999999999999999999", "0x10", "1e3",
+      ".", "\xff"};
+  constexpr std::size_t kCount = sizeof(kTokens) / sizeof(kTokens[0]);
+  std::string soup;
+  for (std::uint64_t n = rng.below(14); n > 0; --n) {
+    if (rng.below(16) == 0) {
+      soup.push_back(static_cast<char>(1 + rng.below(255)));  // any byte
+    } else {
+      soup += kTokens[rng.below(kCount)];
+    }
+  }
+  return soup;
+}
+
+/// What every accepted plan satisfies, whatever spec it came from.
+::testing::AssertionResult plan_is_well_formed(const FaultPlan& plan) {
+  for (const faults::FaultClause& c : plan.clauses) {
+    const bool trigger_ok =
+        c.percent == 0
+            ? c.ordinal >= 1 && c.count >= 1 && c.ordinal + c.count > c.ordinal
+            : c.percent <= 100 && c.ordinal == 0 && c.count == 1;
+    const bool params_ok =
+        c.stall_ms >= 1 && c.stall_ms <= 60'000 && c.cu < kMaxComputeUnits &&
+        (c.kind == FaultKind::kStall || c.stall_ms == 20) &&
+        (c.kind == FaultKind::kCuDeath || c.cu == 0);
+    if (!trigger_ok || !params_ok) {
+      return ::testing::AssertionFailure()
+             << faults::to_string(c.kind) << " ordinal " << c.ordinal
+             << " count " << c.count << " percent " << c.percent << " ms "
+             << c.stall_ms << " cu " << c.cu;
+    }
+  }
+  if (plan.watchdog_ns != 0 &&
+      (plan.watchdog_ns % 1'000'000 != 0 ||
+       plan.watchdog_ns > 3'600'000ull * 1'000'000ull)) {
+    return ::testing::AssertionFailure()
+           << "watchdog_ns " << plan.watchdog_ns;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(FaultPlanProperty, TokenSoupsParseOrThrowOnlyPreconditionError) {
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (std::size_t i = 0; i < kPropertyCases; ++i) {
+    const std::uint64_t seed = kPropertySeed + i;
+    SplitMix64 rng(seed);
+    const std::string spec = token_soup(rng);
+    try {
+      const FaultPlan plan = parse_fault_plan(spec);
+      ASSERT_TRUE(plan_is_well_formed(plan))
+          << "seed " << seed << ", spec '" << spec << "'";
+      ++parsed;
+    } catch (const PreconditionError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      FAIL() << "seed " << seed << ": spec '" << spec
+             << "' threw something other than PreconditionError: "
+             << e.what();
+    } catch (...) {
+      FAIL() << "seed " << seed << ": spec '" << spec
+             << "' threw a non-exception";
+    }
+  }
+  // The soup must exercise both outcomes, not just one.
+  EXPECT_GT(parsed, kPropertyCases / 100);
+  EXPECT_GT(rejected, kPropertyCases / 100);
 }
 
 // ---------------------------------------------------------------------------

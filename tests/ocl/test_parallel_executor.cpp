@@ -1,10 +1,10 @@
 // Parallel compute-unit scheduler tests: stats parity with serial execution
 // for both paper kernel shapes (IV.A barrier-free dataflow, IV.B
 // work-group-per-option with barriers), error semantics with
-// compute_units > 1 (barrier divergence, mid-kernel exceptions, pool
-// reuse), compute-unit resolution (limits / API / env var), and a
-// many-group stress kernel that the CI ThreadSanitizer job runs under the
-// race detector.
+// compute_units > 1 (mid-kernel exceptions, pool reuse), compute-unit
+// resolution (limits / API / env var), and a many-group stress kernel that
+// the CI ThreadSanitizer job runs under the race detector. Kernels that
+// synchronise are written as barrier-phased kernels.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -21,6 +21,9 @@ namespace binopt::ocl {
 namespace {
 
 constexpr std::size_t kMiB = 1024 * 1024;
+
+// Private state for phased kernels that carry nothing across barriers.
+struct NoState {};
 
 Device make_device(std::size_t compute_units,
                    std::size_t max_workgroup_size = 64) {
@@ -143,14 +146,16 @@ TEST(ParallelExecutor, KernelAShapeStatsMatchSerialExactly) {
 
 TEST(ParallelExecutor, SyntheticBarrierKernelParityAcrossUnitCounts) {
   // Same NDRange on 1, 2, 3, 8 compute units: identical totals each time.
-  Kernel kernel;
-  kernel.name = "parity";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    auto row = ctx.local_array<double>(ctx.local_size());
-    row.set(ctx.local_id(), static_cast<double>(ctx.global_id()));
-    ctx.barrier();
-    (void)row.get((ctx.local_id() + 1) % ctx.local_size());
-  };
+  const Kernel kernel = make_phased_kernel<NoState>(
+      "parity", 2,
+      [](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, NoState&) {
+        auto row = ctx.local_array<double>(ctx.local_size());
+        if (phase == 0) {
+          row.set(ctx.local_id(), static_cast<double>(ctx.global_id()));
+        } else {
+          (void)row.get((ctx.local_id() + 1) % ctx.local_size());
+        }
+      });
   KernelArgs args;
   const NDRange range{512, 8};
 
@@ -172,47 +177,23 @@ TEST(ParallelExecutor, SyntheticBarrierKernelParityAcrossUnitCounts) {
 
 // --- Error semantics with compute_units > 1 ------------------------------
 
-TEST(ParallelExecutor, BarrierDivergenceDetectedAndPoolStaysReusable) {
-  Device device = make_device(4);
-  Kernel divergent;
-  divergent.name = "divergent";
-  divergent.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    if (ctx.local_id() == 0) ctx.barrier();  // only one item synchronises
-  };
-  KernelArgs args;
-  EXPECT_THROW(device.execute(divergent, args, NDRange{256, 4}),
-               PreconditionError);
-
-  // Same device, same worker pool: a correct kernel must run cleanly.
-  Kernel good;
-  good.name = "fine";
-  good.body = [](WorkItemCtx& ctx, const KernelArgs&) { ctx.barrier(); };
-  device.reset_stats();
-  EXPECT_NO_THROW(device.execute(good, args, NDRange{256, 4}));
-  EXPECT_EQ(device.stats().work_groups_executed, 64u);
-  EXPECT_EQ(device.stats().barriers_executed, 256u);
-}
-
 TEST(ParallelExecutor, MidKernelExceptionCancelsAndRethrowsOnEnqueuer) {
   Device device = make_device(4);
-  Kernel bad;
-  bad.name = "dies_mid_phase";
-  bad.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    ctx.barrier();
-    if (ctx.group_id() == 5 && ctx.local_id() == 3) {
-      throw PreconditionError("boom in group 5");
-    }
-    ctx.barrier();
-  };
+  const Kernel bad = make_phased_kernel<NoState>(
+      "dies_mid_phase", 3,
+      [](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, NoState&) {
+        if (phase == 1 && ctx.group_id() == 5 && ctx.local_id() == 3) {
+          throw PreconditionError("boom in group 5");
+        }
+      });
   KernelArgs args;
   EXPECT_THROW(device.execute(bad, args, NDRange{8 * 64, 8}),
                PreconditionError);
 
-  // Remaining chunks were cancelled, every worker drained its fibers, and
-  // the pool is reusable for both fiber and fast-path kernels.
-  Kernel good;
-  good.name = "fine";
-  good.body = [](WorkItemCtx& ctx, const KernelArgs&) { ctx.barrier(); };
+  // Remaining chunks were cancelled, every worker finished its in-flight
+  // group, and the pool is reusable.
+  const Kernel good = make_phased_kernel<NoState>(
+      "fine", 2, [](WorkItemCtx&, const KernelArgs&, std::size_t, NoState&) {});
   device.reset_stats();
   EXPECT_NO_THROW(device.execute(good, args, NDRange{8 * 64, 8}));
   EXPECT_EQ(device.stats().work_groups_executed, 64u);
@@ -222,7 +203,6 @@ TEST(ParallelExecutor, ExceptionInBarrierFreeKernelAlsoRethrown) {
   Device device = make_device(4);
   Kernel bad;
   bad.name = "fast_path_thrower";
-  bad.uses_barriers = false;
   bad.body = [](WorkItemCtx& ctx, const KernelArgs&) {
     if (ctx.group_id() == 17) throw InvariantError("fast-path boom");
   };
@@ -237,18 +217,23 @@ TEST(ParallelExecutorStress, ManyGroupsManyUnitsRaceFree) {
   const std::size_t groups = 2000;
   const std::size_t local = 16;
   std::vector<double> out(groups * local, -1.0);
-  Kernel kernel;
-  kernel.name = "stress";
-  kernel.body = [&out](WorkItemCtx& ctx, const KernelArgs&) {
-    auto row = ctx.local_array<double>(ctx.local_size());
-    row.set(ctx.local_id(), static_cast<double>(ctx.local_id()));
-    ctx.barrier();
-    const double neighbour = row.get((ctx.local_id() + 1) % ctx.local_size());
-    // Distinct global slot per work-item: the only cross-thread writes are
-    // to disjoint addresses, exactly like kernel IV.B's result buffer.
-    out[ctx.global_id()] =
-        neighbour + 1000.0 * static_cast<double>(ctx.group_id());
-  };
+  const Kernel kernel = make_phased_kernel<NoState>(
+      "stress", 2,
+      [&out](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase,
+             NoState&) {
+        auto row = ctx.local_array<double>(ctx.local_size());
+        if (phase == 0) {
+          row.set(ctx.local_id(), static_cast<double>(ctx.local_id()));
+          return;
+        }
+        const double neighbour =
+            row.get((ctx.local_id() + 1) % ctx.local_size());
+        // Distinct global slot per work-item: the only cross-thread writes
+        // are to disjoint addresses, exactly like kernel IV.B's result
+        // buffer.
+        out[ctx.global_id()] =
+            neighbour + 1000.0 * static_cast<double>(ctx.group_id());
+      });
   KernelArgs args;
   device.execute(kernel, args, NDRange{groups * local, local});
 
@@ -267,9 +252,9 @@ TEST(ParallelExecutorStress, ManyGroupsManyUnitsRaceFree) {
 
 TEST(ParallelExecutorStress, RepeatedNDRangesReuseTheWorkerPool) {
   Device device = make_device(3, /*max_workgroup_size=*/8);
-  Kernel kernel;
-  kernel.name = "repeat";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs&) { ctx.barrier(); };
+  const Kernel kernel = make_phased_kernel<NoState>(
+      "repeat", 2,
+      [](WorkItemCtx&, const KernelArgs&, std::size_t, NoState&) {});
   KernelArgs args;
   for (int round = 0; round < 50; ++round) {
     device.execute(kernel, args, NDRange{40 * 8, 8});

@@ -1,14 +1,16 @@
 // Barrier-phased kernels (PhasedBody): the executor runs each phase as a
 // plain loop over the group's work-items, compiled with the body. These
-// tests pin the contract that makes that a drop-in for fibers: the same
-// order (pinned directly, and through a kernel written both ways giving
-// the same bits and counters, even when it is racy), the same analyzer
-// epochs, value-initialised private state per group, a descriptive error
-// for barrier() inside a phase, no item after a throwing one, and a
-// device that stays reusable after a phase throws.
+// tests pin the contract the phased form keeps: its order (pinned
+// directly, and through the output bits and counters of a racy kernel),
+// the analyzer's epochs, value-initialised private state per group, no
+// item after a throwing one, and a device that stays reusable after a
+// phase throws.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <mutex>
 #include <set>
 #include <string>
@@ -30,31 +32,10 @@ Device make_device(std::size_t compute_units) {
                 DeviceLimits{16 * kMiB, 16 * 1024, 64, compute_units});
 }
 
-// A deliberately racy exchange, written both ways: every round each
-// work-item reads its right neighbour's slot and overwrites its own in
-// the SAME barrier region, so the result depends on execution order.
+// A deliberately racy exchange: every round each work-item reads its
+// right neighbour's slot and overwrites its own in the SAME barrier
+// region, so the result depends on execution order.
 constexpr std::size_t kRounds = 3;
-
-Kernel racy_lambda() {
-  Kernel kernel;
-  kernel.name = "racy_exchange";
-  kernel.body = [](WorkItemCtx& ctx, const KernelArgs& args) {
-    auto out = ctx.global<double>(args.buffer(0));
-    const std::size_t n = ctx.local_size();
-    const std::size_t k = ctx.local_id();
-    auto row = ctx.local_array<double>(n);
-    row.set(k, static_cast<double>(ctx.global_id() + 1));
-    ctx.barrier();
-    double acc = 0.0;
-    for (std::size_t r = 0; r < kRounds; ++r) {
-      acc = 0.5 * acc + row.get((k + 1) % n);
-      row.set(k, acc);  // races with item k-1's read of slot k
-      ctx.barrier();
-    }
-    out.set(ctx.global_id(), row.get(k) + acc);
-  };
-  return kernel;
-}
 
 struct RacyState {
   double acc = 0.0;
@@ -101,15 +82,43 @@ Launch launch(Device& device, const Kernel& kernel, NDRange range) {
   return result;
 }
 
+/// 64-bit FNV-1a over the little-endian bytes of each value's IEEE-754
+/// bit pattern, in order.
+std::uint64_t fnv1a_bits(const std::vector<double>& values) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const double v : values) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (bits >> (8 * byte)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  }
+  return h;
+}
+
+/// The eleven counters in BINOPT_RUNTIME_STATS_COUNTERS order.
+std::array<std::uint64_t, 11> counters_of(const RuntimeStats& s) {
+  return {s.host_to_device_bytes, s.device_to_host_bytes, s.host_transfers,
+          s.global_load_bytes,    s.global_store_bytes,   s.local_load_bytes,
+          s.local_store_bytes,    s.kernels_enqueued,     s.work_items_executed,
+          s.work_groups_executed, s.barriers_executed};
+}
+
+// The racy exchange's output digest and counters are the ones the same
+// kernel produced as a lambda body that called barrier() on per-work-item
+// fibers, resumed in local-id order one barrier region at a time. They
+// pin the phased loop to that schedule, racy reads included.
 TEST(PhasedExecutor, RacyKernelMatchesTheFiberScheduleBitForBit) {
+  constexpr std::uint64_t kDigest = 0xb9eb81a6282f6b6cull;
+  constexpr std::array<std::uint64_t, 11> kCounters{
+      0, 768, 1, 0, 768, 3072, 3072, 1, 96, 6, 384};
   const NDRange range{6 * 16, 16};
   for (const std::size_t units : {1u, 3u}) {
-    Device fibers = make_device(units);
     Device phased = make_device(units);
-    const Launch a = launch(fibers, racy_lambda(), range);
     const Launch b = launch(phased, racy_phased(), range);
-    EXPECT_EQ(a.out, b.out) << "units=" << units;
-    EXPECT_EQ(a.stats, b.stats) << "units=" << units;
+    EXPECT_EQ(fnv1a_bits(b.out), kDigest) << "units=" << units;
+    EXPECT_EQ(counters_of(b.stats), kCounters) << "units=" << units;
     EXPECT_EQ(b.stats.barriers_executed, range.global_size * (kRounds + 1));
   }
 }
@@ -159,27 +168,6 @@ TEST(PhasedExecutor, AnalyzerFlagsARacyPhaseWithWorkItemAttribution) {
   EXPECT_TRUE(race->second.is_write);
   EXPECT_EQ(race->first.epoch, 1u);
   EXPECT_EQ(race->second.epoch, 1u);
-}
-
-TEST(PhasedExecutor, BarrierInsideAPhaseIsADescriptiveError) {
-  WorkGroupExecutor executor(1024, 8);
-  RuntimeStats stats;
-  struct State {
-    int unused = 0;
-  };
-  const Kernel kernel = make_phased_kernel<State>(
-      "calls_barrier", 2,
-      [](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, State&) {
-        if (phase == 1) ctx.barrier();
-      });
-  KernelArgs args;
-  try {
-    executor.execute(kernel, args, NDRange{4, 4}, stats);
-    FAIL() << "barrier() inside a phase must throw";
-  } catch (const PreconditionError& e) {
-    EXPECT_NE(std::string(e.what()).find("phased kernel"), std::string::npos)
-        << e.what();
-  }
 }
 
 // The item loop is compiled with the body, so its order is pinned here

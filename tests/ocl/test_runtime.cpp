@@ -142,7 +142,6 @@ TEST(CommandQueue, EventsLogCommands) {
 
   Kernel kernel;
   kernel.name = "noop";
-  kernel.uses_barriers = false;
   kernel.body = [](WorkItemCtx&, const KernelArgs&) {};
   KernelArgs args;
   queue.enqueue_ndrange(kernel, args, NDRange{4, 2});

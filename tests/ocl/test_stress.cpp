@@ -1,7 +1,8 @@
 // Stress and scale tests for the execution engine: paper-scale work-group
 // widths (1024 work-items, the N = 1024 tree row), deep barrier loops,
-// fiber-pool reuse across thousands of groups, and exception hygiene when
-// a work-item dies mid-barrier-phase.
+// arena reuse across thousands of groups, and exception hygiene when a
+// work-item dies mid-barrier-phase. Kernels that synchronise are written
+// as barrier-phased kernels.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -12,25 +13,33 @@
 namespace binopt::ocl {
 namespace {
 
+// Private state for phased kernels that carry nothing across barriers.
+struct NoState {};
+
 TEST(ExecutorStress, PaperScaleWorkGroupOf1024WithBarriers) {
   WorkGroupExecutor executor(32 * 1024, 1024);
   RuntimeStats stats;
   // Rotating neighbour sum across 8 barrier phases at full width.
+  // Each rotation is a store phase and a load phase; the item's running
+  // value is its private state. Phase 16 publishes it.
   std::vector<double> result(1024, 0.0);
-  Kernel kernel;
-  kernel.name = "wide_group";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    const std::size_t n = ctx.local_size();
-    auto row = ctx.local_array<double>(n);
-    double acc = static_cast<double>(ctx.local_id());
-    for (int phase = 0; phase < 8; ++phase) {
-      row.set(ctx.local_id(), acc);
-      ctx.barrier();
-      acc = row.get((ctx.local_id() + 1) % n);
-      ctx.barrier();
-    }
-    result[ctx.local_id()] = acc;
+  struct Acc {
+    double acc = 0.0;
   };
+  const Kernel kernel = make_phased_kernel<Acc>(
+      "wide_group", 2 * 8 + 1,
+      [&](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, Acc& st) {
+        const std::size_t n = ctx.local_size();
+        auto row = ctx.local_array<double>(n);
+        if (phase == 0) st.acc = static_cast<double>(ctx.local_id());
+        if (phase == 2 * 8) {
+          result[ctx.local_id()] = st.acc;
+        } else if (phase % 2 == 0) {
+          row.set(ctx.local_id(), st.acc);
+        } else {
+          st.acc = row.get((ctx.local_id() + 1) % n);
+        }
+      });
   KernelArgs args;
   executor.execute(kernel, args, NDRange{1024, 1024}, stats);
   // After 8 rotations each item holds the id 8 positions ahead.
@@ -44,12 +53,11 @@ TEST(ExecutorStress, ThousandsOfGroupsReuseTheFiberPool) {
   WorkGroupExecutor executor(16 * 1024, 64);
   RuntimeStats stats;
   std::size_t count = 0;
-  Kernel kernel;
-  kernel.name = "many_groups";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    ctx.barrier();  // force the fiber path
-    if (ctx.local_id() == 0) ++count;
-  };
+  const Kernel kernel = make_phased_kernel<NoState>(
+      "many_groups", 2,
+      [&](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, NoState&) {
+        if (phase == 1 && ctx.local_id() == 0) ++count;
+      });
   KernelArgs args;
   executor.execute(kernel, args, NDRange{4000 * 8, 8}, stats);
   EXPECT_EQ(count, 4000u);
@@ -59,11 +67,9 @@ TEST(ExecutorStress, ThousandsOfGroupsReuseTheFiberPool) {
 TEST(ExecutorStress, DeepBarrierLoopSurvives) {
   WorkGroupExecutor executor(16 * 1024, 16);
   RuntimeStats stats;
-  Kernel kernel;
-  kernel.name = "deep_loop";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    for (int i = 0; i < 2000; ++i) ctx.barrier();
-  };
+  const Kernel kernel = make_phased_kernel<NoState>(
+      "deep_loop", 2000 + 1,
+      [](WorkItemCtx&, const KernelArgs&, std::size_t, NoState&) {});
   KernelArgs args;
   executor.execute(kernel, args, NDRange{16, 16}, stats);
   EXPECT_EQ(stats.barriers_executed, 16u * 2000u);
@@ -72,45 +78,26 @@ TEST(ExecutorStress, DeepBarrierLoopSurvives) {
 TEST(ExecutorStress, ExceptionMidPhaseLeavesTheSameExecutorReusable) {
   WorkGroupExecutor executor(16 * 1024, 8);
   RuntimeStats stats;
-  Kernel bad;
-  bad.name = "dies_after_barrier";
-  bad.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    ctx.barrier();
-    if (ctx.local_id() == 3) throw PreconditionError("boom");
-    ctx.barrier();
-  };
+  const Kernel bad = make_phased_kernel<NoState>(
+      "dies_after_barrier", 3,
+      [](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, NoState&) {
+        if (phase == 1 && ctx.local_id() == 3) throw PreconditionError("boom");
+      });
   KernelArgs args;
   EXPECT_THROW(executor.execute(bad, args, NDRange{8, 8}, stats),
                PreconditionError);
 
-  // The abort-unwinding protocol must leave every fiber finished, so the
-  // SAME executor (and therefore the Device that owns it) keeps working.
-  Kernel good;
-  good.name = "fine";
+  // The throw unwinds the item loop and leaves the executor's arenas
+  // consistent, so the SAME executor (and therefore the Device that owns
+  // it) keeps working.
   std::size_t ran = 0;
-  good.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    ctx.barrier();
-    ++ran;
-  };
+  const Kernel good = make_phased_kernel<NoState>(
+      "fine", 2,
+      [&](WorkItemCtx&, const KernelArgs&, std::size_t phase, NoState&) {
+        if (phase == 1) ++ran;
+      });
   EXPECT_NO_THROW(executor.execute(good, args, NDRange{8, 8}, stats));
   EXPECT_EQ(ran, 8u);
-}
-
-TEST(ExecutorStress, DivergenceErrorAlsoLeavesExecutorReusable) {
-  WorkGroupExecutor executor(16 * 1024, 4);
-  RuntimeStats stats;
-  Kernel divergent;
-  divergent.name = "divergent";
-  divergent.body = [](WorkItemCtx& ctx, const KernelArgs&) {
-    if (ctx.local_id() == 0) ctx.barrier();
-  };
-  KernelArgs args;
-  EXPECT_THROW(executor.execute(divergent, args, NDRange{4, 4}, stats),
-               PreconditionError);
-  Kernel good;
-  good.name = "fine";
-  good.body = [](WorkItemCtx& ctx, const KernelArgs&) { ctx.barrier(); };
-  EXPECT_NO_THROW(executor.execute(good, args, NDRange{4, 4}, stats));
 }
 
 TEST(ExecutorStress, LocalArenaIsReusedAcrossGroupsWithoutBleed) {
@@ -119,18 +106,18 @@ TEST(ExecutorStress, LocalArenaIsReusedAcrossGroupsWithoutBleed) {
   WorkGroupExecutor executor(16 * 1024, 4);
   RuntimeStats stats;
   std::vector<double> sums(50, 0.0);
-  Kernel kernel;
-  kernel.name = "arena_reuse";
-  kernel.body = [&](WorkItemCtx& ctx, const KernelArgs&) {
-    auto row = ctx.local_array<double>(4);
-    row.set(ctx.local_id(), static_cast<double>(ctx.group_id() + 1));
-    ctx.barrier();
-    if (ctx.local_id() == 0) {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < 4; ++i) sum += row.get(i);
-      sums[ctx.group_id()] = sum;
-    }
-  };
+  const Kernel kernel = make_phased_kernel<NoState>(
+      "arena_reuse", 2,
+      [&](WorkItemCtx& ctx, const KernelArgs&, std::size_t phase, NoState&) {
+        auto row = ctx.local_array<double>(4);
+        if (phase == 0) {
+          row.set(ctx.local_id(), static_cast<double>(ctx.group_id() + 1));
+        } else if (ctx.local_id() == 0) {
+          double sum = 0.0;
+          for (std::size_t i = 0; i < 4; ++i) sum += row.get(i);
+          sums[ctx.group_id()] = sum;
+        }
+      });
   KernelArgs args;
   executor.execute(kernel, args, NDRange{200, 4}, stats);
   for (std::size_t g = 0; g < 50; ++g) {
