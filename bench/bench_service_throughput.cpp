@@ -43,13 +43,15 @@
 //   shed watermark armed. Every future is tallied into exactly one
 //   outcome bucket, so the gates are exact, not statistical: (a) request
 //   conservation — issued == completed + shed + timed-out + failed, per
-//   class, cross-checked against the service's own counters; (b) the
+//   class, cross-checked against the service's own counters by the
+//   service ledger (src/core/service/ledger.h); (b) the
 //   kRealtime completion p99 while 4x-overloaded stays within 2x its
 //   uncontended p99 (+25ms scheduling slack); (c) every completion that
 //   was not browned out matches the direct run bit for bit.
 //
 // A direct PricingAccelerator::run of the curve supplies the bit-exact
-// parity reference in both modes. Emits a machine-readable JSON row after
+// parity reference, and every mode holds each service it drives to the
+// service ledger. Emits a machine-readable JSON row after
 // the human-readable report (written to --json-out too, when given — CI
 // stores it as BENCH_service_throughput.json). Exits non-zero on parity
 // divergence, on batching losing to one-at-a-time (curve mode), or on the
@@ -73,8 +75,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/parse.h"
 #include "core/accelerator.h"
 #include "core/service/greeks_service.h"
+#include "core/service/ledger.h"
 #include "core/service/pricing_service.h"
 #include "energy/energy_model.h"
 #include "finance/binomial_batch.h"
@@ -85,6 +89,7 @@ namespace {
 
 using namespace binopt;
 using Clock = std::chrono::steady_clock;
+using core::service::ServiceLedger;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -115,7 +120,7 @@ std::string format_row(const char* fmt, ...) {
 struct BurstyOutcome {
   double spike_ops = 0.0;  ///< best-of-reps spike throughput
   core::service::ServiceStats stats;  ///< merged across reps
-  std::size_t mismatches = 0;
+  bool ok = true;                     ///< every rep passed the ledger
 };
 
 /// Market-open arrival pattern: every submitter blasts the whole curve in
@@ -131,9 +136,9 @@ BurstyOutcome run_bursty(const core::ServiceConfig& config,
   constexpr int kQuietChunksPerSubmitter = 8;
 
   BurstyOutcome outcome;
-  std::atomic<std::size_t> mismatches{0};
   for (int rep = 0; rep < reps; ++rep) {
     core::PricingService service(config);
+    std::vector<ServiceLedger> ledgers(submitters);
     std::atomic<std::size_t> ready{0};
     std::atomic<bool> go{false};
     std::atomic<std::size_t> spike_done{0};
@@ -142,15 +147,15 @@ BurstyOutcome run_bursty(const core::ServiceConfig& config,
     for (std::size_t sub = 0; sub < submitters; ++sub) {
       threads.emplace_back([&, sub] {
         std::vector<double> out(kSpikeChunk);
+        ServiceLedger& mine = ledgers[sub];
         ready.fetch_add(1);
         while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
         // Spike: the whole curve, as fast as the service admits it.
         for (std::size_t base = 0; base < curve.size(); base += kSpikeChunk) {
           const std::size_t n = std::min(kSpikeChunk, curve.size() - base);
           service.price_batch_blocking(curve.data() + base, n, out.data());
-          for (std::size_t i = 0; i < n; ++i) {
-            if (out[i] != reference[base + i]) mismatches.fetch_add(1);
-          }
+          mine.complete_batch(core::Priority::kNormal, {out.data(), n},
+                              {reference.data() + base, n});
         }
         spike_done.fetch_add(1, std::memory_order_release);
         // Quiet tail: sparse mid-session flow, offset per submitter.
@@ -160,9 +165,9 @@ BurstyOutcome run_bursty(const core::ServiceConfig& config,
               (curve.size() - kQuietChunk);
           service.price_batch_blocking(curve.data() + base, kQuietChunk,
                                        out.data());
-          for (std::size_t i = 0; i < kQuietChunk; ++i) {
-            if (out[i] != reference[base + i]) mismatches.fetch_add(1);
-          }
+          mine.complete_batch(core::Priority::kNormal,
+                              {out.data(), kQuietChunk},
+                              {reference.data() + base, kQuietChunk});
           std::this_thread::sleep_for(std::chrono::microseconds{500});
         }
       });
@@ -179,9 +184,12 @@ BurstyOutcome run_bursty(const core::ServiceConfig& config,
     const double ops =
         static_cast<double>(submitters * curve.size()) / spike_s;
     outcome.spike_ops = std::max(outcome.spike_ops, ops);
-    outcome.stats += service.stats();
+    const core::service::ServiceStats stats = service.stats();
+    ServiceLedger ledger;
+    for (const ServiceLedger& mine : ledgers) ledger += mine;
+    outcome.ok = ledger.passes(stats, "bursty") && outcome.ok;
+    outcome.stats += stats;
   }
-  outcome.mismatches = mismatches.load();
   return outcome;
 }
 
@@ -190,12 +198,13 @@ struct FleetOutcome {
   double ops = 0.0;                     ///< best-of-reps curve throughput
   std::vector<std::uint64_t> served;    ///< per fleet index, measured reps
   core::service::ServiceStats stats;    ///< measured reps only (no warmup)
-  std::size_t mismatches = 0;
+  bool ok = true;                       ///< every pass passed the ledger
 };
 
 /// Streams `reps` timed passes of the curve through `service` as
 /// single-quote submissions; each Quote names the backend that priced it,
-/// so parity is checked against that backend's own direct run. One
+/// so parity is checked against that backend's own direct run; every pass
+/// is held to the ledger against the service's counters. One
 /// untimed warmup pass runs first: it builds every backend's pricer and —
 /// with the fleet router on — lets the measured/predicted feedback
 /// converge before the clock starts (the service, and thus the router's
@@ -205,6 +214,7 @@ FleetOutcome run_fleet(
     const std::vector<finance::OptionSpec>& curve,
     const std::map<core::Target, std::vector<double>>& refs, int reps) {
   FleetOutcome outcome;
+  ServiceLedger ledger;  // every pass, warmup included
   std::vector<std::future<core::Quote>> futures;
   futures.reserve(curve.size());
   for (int pass = 0; pass < reps + 1; ++pass) {
@@ -212,15 +222,19 @@ FleetOutcome run_fleet(
     futures.clear();
     const auto start = Clock::now();
     for (const auto& spec : curve) futures.push_back(service.submit(spec));
+    ledger[core::Priority::kNormal].issued += curve.size();
     for (std::size_t i = 0; i < futures.size(); ++i) {
       const core::Quote quote = futures[i].get();
-      if (quote.price != refs.at(quote.target)[i]) ++outcome.mismatches;
+      ledger.complete(core::Priority::kNormal, quote,
+                      refs.at(quote.target)[i]);
     }
     const double ops =
         static_cast<double>(curve.size()) / seconds_since(start);
     if (pass > 0) outcome.ops = std::max(outcome.ops, ops);
   }
-  outcome.stats = service.stats().minus(outcome.stats);
+  const core::service::ServiceStats total = service.stats();
+  outcome.ok = ledger.passes(total, "fleet");
+  outcome.stats = total.minus(outcome.stats);
   outcome.served = outcome.stats.served_by_backend;
   return outcome;
 }
@@ -234,6 +248,7 @@ FleetOutcome run_round_robin(
     const std::vector<finance::OptionSpec>& curve,
     const std::map<core::Target, std::vector<double>>& refs, int reps) {
   FleetOutcome outcome;
+  ServiceLedger ledger;
   outcome.served.assign(services.size(), 0);
   std::vector<std::future<core::Quote>> futures;
   futures.reserve(curve.size());
@@ -243,15 +258,20 @@ FleetOutcome run_round_robin(
     for (std::size_t i = 0; i < curve.size(); ++i) {
       futures.push_back(services[i % services.size()]->submit(curve[i]));
     }
+    ledger[core::Priority::kNormal].issued += curve.size();
     for (std::size_t i = 0; i < futures.size(); ++i) {
       const core::Quote quote = futures[i].get();
-      if (quote.price != refs.at(quote.target)[i]) ++outcome.mismatches;
+      ledger.complete(core::Priority::kNormal, quote,
+                      refs.at(quote.target)[i]);
       if (pass > 0) ++outcome.served[i % services.size()];
     }
     const double ops =
         static_cast<double>(curve.size()) / seconds_since(start);
     if (pass > 0) outcome.ops = std::max(outcome.ops, ops);
   }
+  core::service::ServiceStats total;
+  for (const auto& service : services) total += service->stats();
+  outcome.ok = ledger.passes(total, "fleet round-robin");
   return outcome;
 }
 
@@ -296,41 +316,15 @@ void print_bursty(const char* label, const BurstyOutcome& outcome) {
               outcome.stats.request_latency_ns.p999() / 1e6);
 }
 
-/// Per-priority-class client-side ledger for one soak sweep point. Every
-/// submitted request lands in exactly one outcome bucket (the future
-/// either yields a Quote or throws a typed error), so conservation can be
-/// asserted with == rather than a tolerance.
-struct SoakTally {
-  std::uint64_t issued = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t shed = 0;       ///< ServiceOverloadError at admission
-  std::uint64_t timed_out = 0;  ///< ServiceTimeoutError (any deadline site)
-  std::uint64_t failed = 0;     ///< anything else (must stay 0: no faults)
-  std::uint64_t browned = 0;    ///< completions with Quote::browned_out
-  std::uint64_t parity_mismatches = 0;  ///< un-browned price != reference
-  std::vector<std::uint64_t> latency_ns;  ///< submit -> Quote, completions
-
-  SoakTally& operator+=(const SoakTally& other) {
-    issued += other.issued;
-    completed += other.completed;
-    shed += other.shed;
-    timed_out += other.timed_out;
-    failed += other.failed;
-    browned += other.browned;
-    parity_mismatches += other.parity_mismatches;
-    latency_ns.insert(latency_ns.end(), other.latency_ns.begin(),
-                      other.latency_ns.end());
-    return *this;
-  }
-};
-
 /// One arrival-rate point of the soak sweep.
 struct SoakPoint {
   double multiplier = 0.0;     ///< arrival rate as a fraction of capacity
   double target_rate = 0.0;    ///< requests/s the schedule aimed for
   double achieved_rate = 0.0;  ///< issued / wall-clock (drain included)
   double elapsed_s = 0.0;
-  std::array<SoakTally, core::kPriorityCount> per_class;
+  ServiceLedger ledger;
+  /// Submit -> Quote latency of every completion, per priority class.
+  std::array<std::vector<std::uint64_t>, core::kPriorityCount> latency_ns;
   core::service::ServiceStats stats;
 };
 
@@ -394,8 +388,9 @@ SoakPoint run_soak_point(const core::ServiceConfig& config,
   point.multiplier = multiplier;
   point.target_rate = rate;
   core::PricingService service(config);
-  std::vector<std::array<SoakTally, core::kPriorityCount>> tallies(
-      submitters);
+  std::vector<ServiceLedger> ledgers(submitters);
+  std::vector<std::array<std::vector<std::uint64_t>, core::kPriorityCount>>
+      latencies(submitters);
   std::atomic<std::size_t> ready{0};
   std::atomic<bool> go{false};
   Clock::time_point start;  // written before go releases, read after acquire
@@ -407,10 +402,10 @@ SoakPoint run_soak_point(const core::ServiceConfig& config,
         std::future<core::Quote> future;
         Clock::time_point issued_at;
         std::uint32_t spec_index;
-        std::uint8_t cls;
+        core::Priority priority;
       };
       std::deque<Outstanding> pending;
-      auto& mine = tallies[sub];
+      ServiceLedger& mine = ledgers[sub];
       const auto harvest = [&](bool block) {
         while (!pending.empty()) {
           Outstanding& front = pending.front();
@@ -418,23 +413,13 @@ SoakPoint run_soak_point(const core::ServiceConfig& config,
                             std::future_status::ready) {
             break;
           }
-          SoakTally& tally = mine[front.cls];
-          try {
-            const core::Quote quote = front.future.get();
-            tally.latency_ns.push_back(static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    Clock::now() - front.issued_at)
-                    .count()));
-            ++tally.completed;
-            if (quote.browned_out) {
-              ++tally.browned;
-            } else if (quote.price != reference[front.spec_index]) {
-              ++tally.parity_mismatches;
-            }
-          } catch (const core::ServiceTimeoutError&) {
-            ++tally.timed_out;
-          } catch (const std::exception&) {
-            ++tally.failed;
+          if (mine.settle(front.priority, front.future,
+                          reference[front.spec_index])) {
+            latencies[sub][static_cast<std::size_t>(front.priority)]
+                .push_back(static_cast<std::uint64_t>(
+                    std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        Clock::now() - front.issued_at)
+                        .count()));
           }
           pending.pop_front();
         }
@@ -447,16 +432,15 @@ SoakPoint run_soak_point(const core::ServiceConfig& config,
                         static_cast<double>(k) * 1e9 / rate));
         if (due > Clock::now()) std::this_thread::sleep_until(due);
         const core::Priority priority = mix.pick(k);
-        const auto cls = static_cast<std::uint8_t>(priority);
         const auto spec_index = static_cast<std::uint32_t>(k % curve.size());
-        ++mine[cls].issued;
+        ++mine[priority].issued;
         const auto issued_at = Clock::now();
         try {
           pending.push_back({service.submit(curve[spec_index], timeout,
                                             /*cache_tag=*/0, priority),
-                             issued_at, spec_index, cls});
+                             issued_at, spec_index, priority});
         } catch (const core::ServiceOverloadError&) {
-          ++mine[cls].shed;
+          ++mine[priority].shed;
         }
         harvest(/*block=*/false);
       }
@@ -469,16 +453,17 @@ SoakPoint run_soak_point(const core::ServiceConfig& config,
   for (auto& thread : threads) thread.join();
   point.elapsed_s = seconds_since(start);
   point.stats = service.stats();
-  for (auto& per_thread : tallies) {
+  for (std::size_t sub = 0; sub < submitters; ++sub) {
+    point.ledger += ledgers[sub];
     for (std::size_t cls = 0; cls < core::kPriorityCount; ++cls) {
-      point.per_class[cls] += per_thread[cls];
+      point.latency_ns[cls].insert(point.latency_ns[cls].end(),
+                                   latencies[sub][cls].begin(),
+                                   latencies[sub][cls].end());
     }
   }
-  std::uint64_t issued = 0;
-  for (const SoakTally& tally : point.per_class) issued += tally.issued;
   point.achieved_rate =
       point.elapsed_s > 0.0
-          ? static_cast<double>(issued) / point.elapsed_s
+          ? static_cast<double>(point.ledger.total().issued) / point.elapsed_s
           : 0.0;
   return point;
 }
@@ -511,29 +496,41 @@ int main(int argc, char** argv) {
   bool options_set = false;
   bool steps_set = false;
 
+  // Integer flags are strict: "-5" or "abc" is an error, not a wrapped or
+  // zero value. One ceiling fits every field (reps is an int).
+  const auto count = [](const std::string& flag, const char* value) {
+    const std::optional<std::uint64_t> parsed =
+        parse_unsigned(value, 0, std::numeric_limits<int>::max());
+    if (!parsed) {
+      std::fprintf(stderr, "bad %s '%s' (expected a non-negative integer)\n",
+                   flag.c_str(), value);
+      std::exit(2);
+    }
+    return static_cast<std::size_t>(*parsed);
+  };
   for (int i = 1; i + 1 < argc; i += 2) {
     const std::string flag = argv[i];
     const char* value = argv[i + 1];
     if (flag == "--options") {
-      num_options = std::strtoul(value, nullptr, 10);
+      num_options = count(flag, value);
       options_set = true;
     }
     else if (flag == "--steps") {
-      steps = std::strtoul(value, nullptr, 10);
+      steps = count(flag, value);
       steps_set = true;
     }
-    else if (flag == "--workers") workers = std::strtoul(value, nullptr, 10);
+    else if (flag == "--workers") workers = count(flag, value);
     else if (flag == "--mode") mode = value;
-    else if (flag == "--submitters") submitters = std::strtoul(value, nullptr, 10);
-    else if (flag == "--reps") reps = static_cast<int>(std::strtol(value, nullptr, 10));
+    else if (flag == "--submitters") submitters = count(flag, value);
+    else if (flag == "--reps") reps = static_cast<int>(count(flag, value));
     else if (flag == "--json-out") json_out = value;
-    else if (flag == "--requests") soak_requests = std::strtoul(value, nullptr, 10);
+    else if (flag == "--requests") soak_requests = count(flag, value);
     else if (flag == "--sweep") sweep_text = value;
     else if (flag == "--priority-mix") mix_text = value;
     else if (flag == "--shed-watermark") shed_watermark = std::strtod(value, nullptr);
-    else if (flag == "--sojourn-target-us") sojourn_target_us = std::strtol(value, nullptr, 10);
-    else if (flag == "--timeout-ms") timeout_ms = std::strtol(value, nullptr, 10);
-    else if (flag == "--brownout") brownout = std::strtol(value, nullptr, 10) != 0;
+    else if (flag == "--sojourn-target-us") sojourn_target_us = static_cast<long>(count(flag, value));
+    else if (flag == "--timeout-ms") timeout_ms = static_cast<long>(count(flag, value));
+    else if (flag == "--brownout") brownout = count(flag, value) != 0;
     else if (flag == "--target") {
       bool found = false;
       for (core::Target t : core::all_targets()) {
@@ -655,77 +652,39 @@ int main(int argc, char** argv) {
           armed, curve, reference, per_point, mult * capacity, mult, mix,
           submitters, std::chrono::milliseconds{timeout_ms}));
       const SoakPoint& point = points.back();
-      std::uint64_t issued = 0, completed = 0, shed = 0, timed = 0;
-      for (const SoakTally& tally : point.per_class) {
-        issued += tally.issued;
-        completed += tally.completed;
-        shed += tally.shed;
-        timed += tally.timed_out;
-      }
+      const core::service::ClassTally tally = point.ledger.total();
       const auto rt = static_cast<std::size_t>(core::Priority::kRealtime);
       std::printf("x%-5.2f %9.0f req/s : issued %8llu | completed %8llu | "
                   "shed %7llu | timed-out %6llu | rt p99 %8.3f ms\n",
                   point.multiplier, point.target_rate,
-                  static_cast<unsigned long long>(issued),
-                  static_cast<unsigned long long>(completed),
-                  static_cast<unsigned long long>(shed),
-                  static_cast<unsigned long long>(timed),
-                  percentile_ns(point.per_class[rt].latency_ns, 99.0) / 1e6);
+                  static_cast<unsigned long long>(tally.issued),
+                  static_cast<unsigned long long>(tally.completed),
+                  static_cast<unsigned long long>(tally.shed),
+                  static_cast<unsigned long long>(tally.timed_out),
+                  percentile_ns(point.latency_ns[rt], 99.0) / 1e6);
     }
 
-    // Exact conservation, per class and cross-checked against the
-    // service's own ledger: nothing is ever silently dropped.
+    // Exact conservation at every point, per class and cross-checked
+    // against the service's own counters: nothing is silently dropped.
     bool conserved = true;
-    std::uint64_t issued = 0, completed = 0, shed = 0, timed = 0, failed = 0,
-                  browned = 0, mismatches = 0;
+    bool ok = true;
+    ServiceLedger all;
     for (const SoakPoint& point : points) {
-      std::uint64_t point_issued = 0, point_completed = 0, point_shed = 0,
-                    point_timed = 0, point_failed = 0;
-      for (const SoakTally& tally : point.per_class) {
-        conserved = conserved &&
-                    tally.issued == tally.completed + tally.shed +
-                                        tally.timed_out + tally.failed;
-        point_issued += tally.issued;
-        point_completed += tally.completed;
-        point_shed += tally.shed;
-        point_timed += tally.timed_out;
-        point_failed += tally.failed;
-        browned += tally.browned;
-        mismatches += tally.parity_mismatches;
-      }
-      const core::service::ServiceStats& stats = point.stats;
-      conserved =
-          conserved &&
-          stats.requests_shed_normal + stats.requests_shed_batch ==
-              point_shed &&
-          stats.requests_submitted == point_issued - point_shed &&
-          stats.requests_completed == point_completed &&
-          stats.requests_timed_out == point_timed &&
-          stats.requests_failed == point_failed &&
-          stats.requests_completed + stats.requests_timed_out +
-                  stats.requests_failed ==
-              stats.requests_submitted;
-      issued += point_issued;
-      completed += point_completed;
-      shed += point_shed;
-      timed += point_timed;
-      failed += point_failed;
+      conserved = conserved && point.ledger.violations(point.stats).empty();
+      ok = point.ledger.passes(point.stats, "soak") && ok;
+      all += point.ledger;
     }
-    // kRealtime never sheds, by contract.
-    const auto rt = static_cast<std::size_t>(core::Priority::kRealtime);
-    for (const SoakPoint& point : points) {
-      conserved = conserved && point.per_class[rt].shed == 0;
-    }
+    const core::service::ClassTally total = all.total();
 
+    const auto rt = static_cast<std::size_t>(core::Priority::kRealtime);
     const double p99_base_ms =
-        percentile_ns(points.front().per_class[rt].latency_ns, 99.0) / 1e6;
+        percentile_ns(points.front().latency_ns[rt], 99.0) / 1e6;
     const double p99_over_ms =
-        percentile_ns(points.back().per_class[rt].latency_ns, 99.0) / 1e6;
+        percentile_ns(points.back().latency_ns[rt], 99.0) / 1e6;
     const bool p99_gate = points.size() >= 2 &&
                           points.back().multiplier > 1.0 &&
-                          points.front().per_class[rt].latency_ns.size() >=
-                              100 &&
-                          points.back().per_class[rt].latency_ns.size() >= 100;
+                          points.front().latency_ns[rt].size() >= 100 &&
+                          points.back().latency_ns[rt].size() >= 100;
     const core::service::ServiceStats& over = points.back().stats;
     std::printf("\nrealtime p99           : %10.3f ms uncontended -> %.3f ms "
                 "at x%.1f%s\n",
@@ -740,12 +699,12 @@ int main(int argc, char** argv) {
                     over.admission_block_ns.count()));
     std::printf("totals                 : issued %llu = completed %llu + "
                 "shed %llu + timed-out %llu + failed %llu | browned-out %llu\n\n",
-                static_cast<unsigned long long>(issued),
-                static_cast<unsigned long long>(completed),
-                static_cast<unsigned long long>(shed),
-                static_cast<unsigned long long>(timed),
-                static_cast<unsigned long long>(failed),
-                static_cast<unsigned long long>(browned));
+                static_cast<unsigned long long>(total.issued),
+                static_cast<unsigned long long>(total.completed),
+                static_cast<unsigned long long>(total.shed),
+                static_cast<unsigned long long>(total.timed_out),
+                static_cast<unsigned long long>(total.failed),
+                static_cast<unsigned long long>(total.browned_out));
 
     const std::string row = format_row(
         "{\"benchmark\":\"service_throughput\",\"mode\":\"soak\","
@@ -761,40 +720,21 @@ int main(int argc, char** argv) {
         "\"admission_block_p99_ms\":%.4f,\"parity_mismatches\":%llu,"
         "\"conserved\":%s}",
         core::to_string(target).c_str(),
-        static_cast<unsigned long long>(issued), steps, workers, submitters,
-        sweep_text.c_str(), mix_text.c_str(), timeout_ms, shed_watermark,
-        sojourn_target_us, brownout ? "true" : "false", capacity,
-        static_cast<unsigned long long>(issued),
-        static_cast<unsigned long long>(completed),
-        static_cast<unsigned long long>(shed),
-        static_cast<unsigned long long>(timed),
-        static_cast<unsigned long long>(failed),
-        static_cast<unsigned long long>(browned), p99_base_ms, p99_over_ms,
-        over.admission_block_ns.p99() / 1e6,
-        static_cast<unsigned long long>(mismatches),
+        static_cast<unsigned long long>(total.issued), steps, workers,
+        submitters, sweep_text.c_str(), mix_text.c_str(), timeout_ms,
+        shed_watermark, sojourn_target_us, brownout ? "true" : "false",
+        capacity, static_cast<unsigned long long>(total.issued),
+        static_cast<unsigned long long>(total.completed),
+        static_cast<unsigned long long>(total.shed),
+        static_cast<unsigned long long>(total.timed_out),
+        static_cast<unsigned long long>(total.failed),
+        static_cast<unsigned long long>(total.browned_out), p99_base_ms,
+        p99_over_ms, over.admission_block_ns.p99() / 1e6,
+        static_cast<unsigned long long>(total.parity_mismatches),
         conserved ? "true" : "false");
     emit_json(row, json_out);
 
-    if (!conserved) {
-      std::fprintf(stderr,
-                   "FAIL: request conservation violated (client ledger and "
-                   "service counters disagree)\n");
-      return 1;
-    }
-    if (failed != 0) {
-      std::fprintf(stderr,
-                   "FAIL: %llu requests failed with unexpected errors (soak "
-                   "injects no faults)\n",
-                   static_cast<unsigned long long>(failed));
-      return 1;
-    }
-    if (mismatches != 0) {
-      std::fprintf(stderr,
-                   "FAIL: %llu un-browned-out completions diverge from the "
-                   "direct run\n",
-                   static_cast<unsigned long long>(mismatches));
-      return 1;
-    }
+    if (!ok) return 1;
     // The overload gate (reference target): shedding must keep the
     // realtime class's completion latency bounded while the service is
     // driven past capacity. The 25ms slack absorbs scheduler jitter on
@@ -818,33 +758,21 @@ int main(int argc, char** argv) {
                 reps);
     std::printf("=================================================================\n\n");
 
-    // Direct reference: the same lattice fronts and bump sets the service
-    // uses, with all four legs per request priced by one private
-    // accelerator run — parity must hold bit for bit.
-    std::vector<finance::GreeksBumpSet> sets;
-    sets.reserve(curve.size());
-    std::vector<finance::OptionSpec> legs;
-    legs.reserve(4 * curve.size());
-    std::vector<finance::Greeks> expected;
-    expected.reserve(curve.size());
-    for (const finance::OptionSpec& spec : curve) {
-      sets.push_back(finance::GreeksBumpSet::from(spec, steps));
-      legs.push_back(sets.back().vega_up);
-      legs.push_back(sets.back().vega_down);
-      legs.push_back(sets.back().rho_up);
-      legs.push_back(sets.back().rho_down);
-    }
-    const std::vector<double> leg_prices = direct.run(legs).prices;
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-      expected.push_back(finance::assemble_greeks(
-          finance::lattice_front_greeks(curve[i], steps), sets[i],
-          leg_prices[4 * i], leg_prices[4 * i + 1], leg_prices[4 * i + 2],
-          leg_prices[4 * i + 3]));
-    }
-    const auto greeks_equal = [](const finance::Greeks& a,
-                                 const finance::Greeks& b) {
-      return a.price == b.price && a.delta == b.delta && a.gamma == b.gamma &&
-             a.theta == b.theta && a.vega == b.vega && a.rho == b.rho;
+    // Parity must hold bit for bit against the direct reference, and each
+    // rep's service must account for all four legs of every request.
+    const std::vector<finance::Greeks> expected =
+        core::service::direct_greeks(target, steps, curve);
+    const std::size_t legs = 4 * curve.size();
+    bool ok = true;
+    const auto audit = [&](const core::PricingService& service,
+                           const std::vector<core::GreeksQuote>& out) {
+      ServiceLedger rep_ledger;
+      rep_ledger.complete_unchecked(core::Priority::kNormal, legs);
+      for (std::size_t i = 0; i < curve.size(); ++i) {
+        rep_ledger.expect_parity(core::Priority::kNormal, out[i].greeks,
+                                 expected[i]);
+      }
+      ok = rep_ledger.passes(service.stats(), "greeks") && ok;
     };
 
     // Cache off on both sides: this measures what fanning 4n legs through
@@ -859,7 +787,6 @@ int main(int argc, char** argv) {
     one_leg.max_batch = 1;
     one_leg.linger = std::chrono::microseconds{0};
     double baseline_s = 0.0;
-    std::size_t mismatches = 0;
     for (int rep = 0; rep < reps; ++rep) {
       core::PricingService service(one_leg);
       core::GreeksService greeks(service);
@@ -868,9 +795,7 @@ int main(int argc, char** argv) {
           greeks.greeks_batch_blocking(curve);
       const double elapsed = seconds_since(start);
       if (rep == 0 || elapsed < baseline_s) baseline_s = elapsed;
-      for (std::size_t i = 0; i < curve.size(); ++i) {
-        if (!greeks_equal(out[i].greeks, expected[i])) ++mismatches;
-      }
+      audit(service, out);
     }
     const double baseline_ops =
         static_cast<double>(curve.size()) / baseline_s;
@@ -888,9 +813,7 @@ int main(int argc, char** argv) {
           greeks.greeks_batch_blocking(curve);
       const double elapsed = seconds_since(start);
       if (rep == 0 || elapsed < batched_s) batched_s = elapsed;
-      for (std::size_t i = 0; i < curve.size(); ++i) {
-        if (!greeks_equal(out[i].greeks, expected[i])) ++mismatches;
-      }
+      audit(service, out);
     }
     const double batched_ops = static_cast<double>(curve.size()) / batched_s;
     const double speedup = batched_ops / baseline_ops;
@@ -908,16 +831,11 @@ int main(int argc, char** argv) {
         "\"workers\":%zu,\"reps\":%d,"
         "\"options_per_second\":%.1f,\"baseline_options_per_second\":%.1f,"
         "\"speedup_vs_baseline\":%.3f,\"direct_options_per_second\":%.1f}",
-        core::to_string(target).c_str(), num_options, legs.size(), steps,
+        core::to_string(target).c_str(), num_options, legs, steps,
         workers, reps, batched_ops, baseline_ops, speedup, direct_ops);
     emit_json(row, json_out);
 
-    if (mismatches != 0) {
-      std::fprintf(stderr,
-                   "FAIL: %zu Greeks differ from the direct reference\n",
-                   mismatches);
-      return 1;
-    }
+    if (!ok) return 1;
     // The batching gate (reference target): expanding requests through
     // the micro-batcher must not lose to submitting one leg at a time.
     if (target == core::Target::kCpuReference && speedup < 1.0) {
@@ -1040,14 +958,7 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(routed_run.stats.requests_misrouted));
     emit_json(row, json_out);
 
-    const std::size_t mismatches = rr_run.mismatches + shared_run.mismatches +
-                                   routed_run.mismatches +
-                                   frugal_run.mismatches;
-    if (mismatches != 0) {
-      std::fprintf(stderr,
-                   "FAIL: %zu price mismatches vs the per-backend direct "
-                   "runs\n",
-                   mismatches);
+    if (!rr_run.ok || !shared_run.ok || !routed_run.ok || !frugal_run.ok) {
       return 1;
     }
     // The routing gates: corrected-model placement must not lose to the
@@ -1125,12 +1036,7 @@ int main(int argc, char** argv) {
         scalar_run.stats.request_latency_ns.p999() / 1e6);
     emit_json(row, json_out);
 
-    if (scalar_run.mismatches != 0 || simd_run.mismatches != 0) {
-      std::fprintf(stderr,
-                   "FAIL: %zu price mismatches vs the direct run\n",
-                   scalar_run.mismatches + simd_run.mismatches);
-      return 1;
-    }
+    if (!scalar_run.ok || !simd_run.ok) return 1;
     // The kernel gate (reference target, where the SIMD BatchPricer runs):
     // the SIMD kernel must not lose to the scalar one. Skipped on hosts
     // without SIMD, where both runs are scalar.
@@ -1154,7 +1060,17 @@ int main(int argc, char** argv) {
   // Each configuration is timed best-of-`reps` with a fresh service (and
   // thus a cold cache) per repetition: scheduler noise only ever slows a
   // pass down, so the faster repetition is the better estimate of real cost.
-  std::vector<double> baseline_prices;
+  // Every pass is held to the ledger against the service that priced it.
+  bool ok = true;
+  const auto audit =
+      [&](const core::PricingService& service,
+          std::initializer_list<const std::vector<double>*> passes) {
+        ServiceLedger ledger;
+        for (const std::vector<double>* prices : passes) {
+          ledger.complete_batch(core::Priority::kNormal, *prices, reference);
+        }
+        ok = ledger.passes(service.stats(), "curve") && ok;
+      };
   std::vector<double> cold;
 
   // Baseline: the same service path with batching disabled — every option
@@ -1171,9 +1087,10 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < reps; ++rep) {
     core::PricingService service(one_at_a_time);
     const auto start = Clock::now();
-    baseline_prices = service.submit_batch(curve).get();
+    const std::vector<double> prices = service.submit_batch(curve).get();
     const double elapsed = seconds_since(start);
     if (rep == 0 || elapsed < baseline_s) baseline_s = elapsed;
+    audit(service, {&prices});
   }
   const double baseline_ops = static_cast<double>(curve.size()) / baseline_s;
 
@@ -1194,6 +1111,7 @@ int main(int argc, char** argv) {
     cold = service->submit_batch(curve).get();
     const double elapsed = seconds_since(start);
     if (rep == 0 || elapsed < cold_s) cold_s = elapsed;
+    if (rep + 1 < reps) audit(*service, {&cold});
   }
   const double cold_ops = static_cast<double>(curve.size()) / cold_s;
 
@@ -1202,6 +1120,7 @@ int main(int argc, char** argv) {
   const std::vector<double> warm = service->submit_batch(curve).get();
   const double warm_s = seconds_since(warm_start);
   const double warm_ops = static_cast<double>(curve.size()) / warm_s;
+  audit(*service, {&cold, &warm});
 
   const auto stats = service->stats();
   const double occupancy = stats.batch_occupancy(config.max_batch);
@@ -1257,11 +1176,7 @@ int main(int argc, char** argv) {
       stats.queue_wait_ns.p99() / 1e6);
   emit_json(row, json_out);
 
-  if (baseline_prices != reference || cold != reference || warm != reference) {
-    std::fprintf(stderr,
-                 "FAIL: service prices diverge from the direct run\n");
-    return 1;
-  }
+  if (!ok) return 1;
   // Throughput gate on the canonical workload (reference target): batching
   // must beat submitting one option at a time. Simulator-heavy kernel
   // targets trade launch amortization against working-set locality, so

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <optional>
 
 #include "common/error.h"
+#include "common/parse.h"
 
 namespace binopt::core {
 
@@ -60,17 +62,12 @@ double parse_shed_watermark(const char* text) {
 
 std::chrono::microseconds parse_sojourn_target_us(const char* text) {
   BINOPT_REQUIRE(text != nullptr, "null sojourn target");
-  errno = 0;
-  char* end = nullptr;
-  // strtoull silently wraps a leading '-' ("-5" parses as a huge unsigned),
-  // so only an unsigned digit string is accepted.
-  const bool digits_only = text[0] >= '0' && text[0] <= '9';
-  const unsigned long long parsed = std::strtoull(text, &end, 10);
-  BINOPT_REQUIRE(digits_only && end != text && *end == '\0' && errno == 0 &&
-                     parsed >= 1 && parsed <= 60'000'000ull,
+  const std::optional<std::uint64_t> parsed =
+      parse_unsigned(text, 1, 60'000'000);
+  BINOPT_REQUIRE(parsed.has_value(),
                  "BINOPT_SERVICE_SOJOURN_TARGET_US must be a positive "
                  "integer of microseconds (at most 60s), got '", text, "'");
-  return std::chrono::microseconds{static_cast<std::int64_t>(parsed)};
+  return std::chrono::microseconds{static_cast<std::int64_t>(*parsed)};
 }
 
 void OverloadConfig::apply_env() {

@@ -1,39 +1,25 @@
 #include "ocl/cu_scheduler.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cstdlib>
+#include <optional>
 #include <string>
 
 #include "common/error.h"
+#include "common/parse.h"
 
 namespace binopt::ocl {
 
 std::size_t resolve_compute_units(std::size_t limit_value) {
   if (const char* env = std::getenv("BINOPT_OCL_COMPUTE_UNITS")) {
-    // strtoul quietly wraps negative input ("-1" -> ULONG_MAX) and signals
-    // overflow only through errno, so a bare `parsed >= 1` check would
-    // accept both and try to spawn an absurd worker count. Require a pure
-    // digit string (no sign, no whitespace), check errno, and cap at
-    // kMaxComputeUnits.
-    const bool digits_only =
-        *env != '\0' &&
-        [env] {
-          for (const char* p = env; *p != '\0'; ++p) {
-            if (!std::isdigit(static_cast<unsigned char>(*p))) return false;
-          }
-          return true;
-        }();
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    BINOPT_REQUIRE(digits_only && end != env && *end == '\0' &&
-                       errno != ERANGE && parsed >= 1 &&
-                       parsed <= kMaxComputeUnits,
+    // Capped at kMaxComputeUnits: a mis-set knob must never ask the host
+    // for an absurd worker count.
+    const std::optional<std::uint64_t> parsed =
+        parse_unsigned(env, 1, kMaxComputeUnits);
+    BINOPT_REQUIRE(parsed.has_value(),
                    "BINOPT_OCL_COMPUTE_UNITS must be an unsigned integer in "
                    "[1, ", kMaxComputeUnits, "], got '", env, "'");
-    return static_cast<std::size_t>(parsed);
+    return static_cast<std::size_t>(*parsed);
   }
   if (limit_value >= 1) return limit_value;
   const unsigned hw = std::thread::hardware_concurrency();
@@ -83,13 +69,6 @@ void ComputeUnitScheduler::set_tracer(trace::Tracer* tracer,
   trace_pid_ = pid;
 }
 
-void ComputeUnitScheduler::arm_worker_death(std::size_t cu,
-                                            faults::FaultContext context) {
-  death_cu_ = cu % units_.size();
-  death_context_ = std::move(context);
-  death_context_.cu = death_cu_;
-}
-
 void ComputeUnitScheduler::flush_spans(const Kernel& kernel) {
   if (tracer_ == nullptr) return;
   for (auto& unit : units_) {
@@ -114,26 +93,11 @@ void ComputeUnitScheduler::execute(const Kernel& kernel,
   units_[0]->executor.validate(kernel, args, range);
   const std::size_t num_groups = range.num_groups();
 
-  // Consume an armed worker death (one-shot, whatever the outcome).
-  const std::size_t kill_cu = death_cu_;
-  const faults::FaultContext death_context = std::move(death_context_);
-  death_cu_ = kNoDeath;
-  death_context_ = {};
-
   // Serial path: a single unit (or a single group) gains nothing from the
   // worker pool — run inline on the enqueuing thread, groups in order.
   // Counter-wise this is the definitional baseline the parallel path must
   // (and does) reproduce exactly.
   if (units_.size() == 1 || num_groups == 1) {
-    if (kill_cu != kNoDeath) {
-      // The lone serving unit dies before pulling any work: no group runs
-      // and no counter moves.
-      throw faults::TransientDeviceError(
-          faults::FaultKind::kCuDeath, death_context,
-          "injected fault: compute-unit worker " +
-              std::to_string(death_context.cu) + " died (" +
-              death_context.describe() + ")");
-    }
     Unit& unit = *units_[0];
     ++stats.kernels_enqueued;
     try {
@@ -166,8 +130,6 @@ void ComputeUnitScheduler::execute(const Kernel& kernel,
     job_range_ = range;
     job_num_groups_ = num_groups;
     job_chunk_groups_ = chunk;
-    job_kill_cu_ = kill_cu;
-    if (kill_cu != kNoDeath) death_context_ = death_context;
     next_group_.store(0, std::memory_order_relaxed);
     cancelled_.store(false, std::memory_order_relaxed);
     error_ = nullptr;
@@ -224,20 +186,6 @@ void ComputeUnitScheduler::worker_loop(std::size_t unit_index) {
 void ComputeUnitScheduler::run_chunks(Unit& unit) {
   unit.shard.reset();
   unit.spans.clear();
-  if (unit.index == job_kill_cu_) {
-    // Injected worker death: this unit dies before pulling any work.
-    // Group id 0 makes this error win record_error's lowest-group
-    // preference, mirroring what a serial run would have surfaced first.
-    record_error(
-        std::make_exception_ptr(faults::TransientDeviceError(
-            faults::FaultKind::kCuDeath, death_context_,
-            "injected fault: compute-unit worker " +
-                std::to_string(unit.index) + " died (" +
-                death_context_.describe() + ")")),
-        0);
-    cancelled_.store(true, std::memory_order_release);
-    return;
-  }
   while (!cancelled_.load(std::memory_order_acquire)) {
     const std::size_t begin =
         next_group_.fetch_add(job_chunk_groups_, std::memory_order_relaxed);

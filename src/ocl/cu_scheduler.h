@@ -29,7 +29,6 @@
 #include <thread>
 #include <vector>
 
-#include "ocl/faults/fault_plan.h"
 #include "ocl/kernel.h"
 #include "ocl/stats.h"
 #include "ocl/trace/tracer.h"
@@ -67,14 +66,6 @@ public:
   /// land on thread lanes 1 + cu (lane 0 is the command queue). With no
   /// tracer the per-range cost is one branch; stats stay bit-identical.
   void set_tracer(trace::Tracer* tracer, std::uint32_t pid);
-
-  /// Arms a one-shot injected worker death (fault layer, DESIGN.md §2.5):
-  /// during the NEXT execute(), compute unit `cu` (folded modulo the unit
-  /// count) dies before pulling any work — the range is cancelled through
-  /// the normal first-error path and a TransientDeviceError carrying
-  /// `context` is rethrown on the enqueuing thread. Consumed whether or
-  /// not another error wins the race.
-  void arm_worker_death(std::size_t cu, faults::FaultContext context);
 
   /// Runs one NDRange to completion and merges all counters into `stats`.
   /// Synchronous: returns (or throws) only after every group has finished
@@ -135,14 +126,6 @@ private:
   std::size_t job_chunk_groups_ = 1;
   std::atomic<std::size_t> next_group_{0};
   std::atomic<bool> cancelled_{false};
-
-  /// One-shot injected worker death: the unit index to kill on the next
-  /// execute() (npos = disarmed) and the fault attribution to throw with.
-  static constexpr std::size_t kNoDeath = ~std::size_t{0};
-  std::size_t death_cu_ = kNoDeath;
-  faults::FaultContext death_context_;
-  /// Published to workers with the rest of the job fields.
-  std::size_t job_kill_cu_ = kNoDeath;
 
   // First-error bookkeeping (lowest failing group id wins).
   std::mutex error_mutex_;

@@ -137,9 +137,14 @@ void Device::execute(const Kernel& kernel, const KernelArgs& args,
               ")");
     }
     if (f.kill_cu.has_value()) {
+      // A compute unit dies at launch start: the launch fails before any
+      // work-group runs, so no counter moves, whatever the unit count.
       ctx.cu = *f.kill_cu % scheduler_->compute_units();
       note_fault(faults::FaultKind::kCuDeath, ctx);
-      scheduler_->arm_worker_death(*f.kill_cu, ctx);
+      throw faults::TransientDeviceError(
+          faults::FaultKind::kCuDeath, ctx,
+          "injected fault: compute-unit worker " + std::to_string(ctx.cu) +
+              " died (" + ctx.describe() + ")");
     }
   }
   scheduler_->execute(kernel, args, range, stats_);

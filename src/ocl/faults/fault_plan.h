@@ -14,8 +14,8 @@
 //                    a watchdog (watchdog-ms=) the command queue detects the
 //                    overrun and raises DeviceLostError from finish()
 //     cu-death       compute-unit worker `cu` dies at the start of the
-//                    launch -> TransientDeviceError via the scheduler's
-//                    cancel-and-rethrow path
+//                    launch -> TransientDeviceError from Device::execute
+//                    before any work-group runs (no counter moves)
 //   read domain (CommandQueue::enqueue_read execution ordinal)
 //     read-error     the transfer fails     -> TransientDeviceError
 //     corrupt-read   the transfer *silently* corrupts the destination bytes

@@ -101,7 +101,7 @@ TEST(Chaos, TransientLaunchFailuresRetryToParity) {
 
 TEST(Chaos, CuDeathMidKernelRetriesToParity) {
   ServiceConfig config = chaos_config("cu-death@1,cu=1", 1);
-  config.compute_units = 2;  // the parallel scheduler path, checked by TSan
+  config.compute_units = 2;  // the retry runs on the parallel scheduler
   const auto batch = finance::make_curve_batch(8);
   const std::vector<double> expected = direct_prices(batch);
 

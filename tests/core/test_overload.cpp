@@ -9,8 +9,11 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <exception>
+#include <string>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/service/overload.h"
 
 namespace binopt::core::service {
@@ -111,6 +114,66 @@ TEST(ParsePriorityMix, RejectsWrongArityOrSumOrGarbage) {
   EXPECT_THROW((void)parse_priority_mix("20/30/50/0"), PreconditionError);
   EXPECT_THROW((void)parse_priority_mix(""), PreconditionError);
   EXPECT_THROW((void)parse_priority_mix("-10/60/50"), PreconditionError);
+}
+
+// Parser properties over SplitMix64-generated inputs. Case i draws from
+// its own seed, kPropertySeed + i, which every failure prints.
+constexpr std::uint64_t kPropertySeed = 0x5eed3117ull;
+constexpr std::uint64_t kPropertyCases = 20'000;
+
+TEST(ParsePriorityMixProperty, GeneratedValidMixesRoundTrip) {
+  for (std::uint64_t i = 0; i < kPropertyCases; ++i) {
+    const std::uint64_t seed = kPropertySeed + i;
+    SplitMix64 rng(seed);
+    const auto realtime = static_cast<unsigned>(rng.below(101));
+    const auto normal = static_cast<unsigned>(rng.below(101 - realtime));
+    const unsigned batch = 100 - realtime - normal;
+    std::string text;
+    for (const unsigned part : {realtime, normal, batch}) {
+      if (!text.empty()) text += '/';
+      text += std::string(rng.below(3), '0') + std::to_string(part);
+    }
+    PriorityMix got;
+    try {
+      got = parse_priority_mix(text);
+    } catch (const std::exception& e) {
+      FAIL() << "seed " << seed << ": valid mix '" << text
+             << "' was rejected: " << e.what();
+    }
+    ASSERT_TRUE(got.realtime == realtime && got.normal == normal &&
+                got.batch == batch)
+        << "seed " << seed << ", mix '" << text << "'";
+  }
+}
+
+TEST(ParsePriorityMixProperty, TokenSoupsParseOrThrowOnlyPreconditionError) {
+  static const char* const kTokens[] = {
+      "0", "1", "5", "10", "20", "33", "45", "50", "99", "100", "101", "000",
+      "4294967296", "18446744073709551617", "/", "/", "/", "//", "-", "+",
+      " ", "\t", "%", ".", "1e2", "0x1", "a", "realtime"};
+  constexpr std::size_t kCount = sizeof(kTokens) / sizeof(kTokens[0]);
+  for (std::uint64_t i = 0; i < kPropertyCases; ++i) {
+    const std::uint64_t seed = kPropertySeed + i;
+    SplitMix64 rng(seed);
+    std::string soup;
+    for (std::uint64_t n = rng.below(8); n > 0; --n) {
+      if (rng.below(16) == 0) {
+        soup.push_back(static_cast<char>(1 + rng.below(255)));  // any byte
+      } else {
+        soup += kTokens[rng.below(kCount)];
+      }
+    }
+    try {
+      const PriorityMix mix = parse_priority_mix(soup);
+      ASSERT_EQ(mix.realtime + mix.normal + mix.batch, 100u)
+          << "seed " << seed << ", mix '" << soup << "'";
+    } catch (const PreconditionError&) {
+      // The only rejection allowed.
+    } catch (const std::exception& e) {
+      FAIL() << "seed " << seed << ": mix '" << soup
+             << "' threw a non-precondition error: " << e.what();
+    }
+  }
 }
 
 TEST(PriorityMix, PickMatchesTheMixExactlyPerHundredWindow) {

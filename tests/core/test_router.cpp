@@ -20,10 +20,13 @@
 #include <chrono>
 #include <cstdlib>
 #include <ctime>
+#include <exception>
 #include <thread>
 #include <future>
+#include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/accelerator.h"
 #include "core/service/pricing_service.h"
 #include "core/service/router.h"
@@ -57,6 +60,59 @@ TEST(RouterPolicy, ParsesAndRoundTrips) {
   }
   EXPECT_THROW((void)parse_router_policy("fastest"), PreconditionError);
   EXPECT_THROW((void)parse_router_policy(""), PreconditionError);
+}
+
+// Parser properties over SplitMix64-generated inputs. Case i draws from
+// its own seed, kPropertySeed + i, which every failure prints.
+constexpr std::uint64_t kPropertySeed = 0x5eed4077ull;
+constexpr std::uint64_t kPropertyCases = 20'000;
+constexpr RouterPolicy kPolicies[] = {
+    RouterPolicy::kOff, RouterPolicy::kLatency, RouterPolicy::kEnergyBudget};
+
+TEST(RouterPolicyProperty, GeneratedValidPoliciesRoundTrip) {
+  for (std::uint64_t i = 0; i < kPropertyCases; ++i) {
+    const std::uint64_t seed = kPropertySeed + i;
+    SplitMix64 rng(seed);
+    const RouterPolicy want = kPolicies[rng.below(3)];
+    const std::string text = to_string(want);
+    RouterPolicy got = RouterPolicy::kOff;
+    try {
+      got = parse_router_policy(text);
+    } catch (const std::exception& e) {
+      FAIL() << "seed " << seed << ": valid policy '" << text
+             << "' was rejected: " << e.what();
+    }
+    ASSERT_EQ(got, want) << "seed " << seed << ", policy '" << text << "'";
+  }
+}
+
+TEST(RouterPolicyProperty, TokenSoupsParseOrThrowOnlyPreconditionError) {
+  static const char* const kTokens[] = {
+      "off", "latency", "energy", "of", "lat", "ency", "Energy", "LATENCY",
+      "on", "none", "energy-budget", "=", "-", " ", "\t", "\n", "|", ","};
+  constexpr std::size_t kCount = sizeof(kTokens) / sizeof(kTokens[0]);
+  for (std::uint64_t i = 0; i < kPropertyCases; ++i) {
+    const std::uint64_t seed = kPropertySeed + i;
+    SplitMix64 rng(seed);
+    std::string soup;
+    for (std::uint64_t n = rng.below(4); n > 0; --n) {
+      if (rng.below(8) == 0) {
+        soup.push_back(static_cast<char>(1 + rng.below(255)));  // any byte
+      } else {
+        soup += kTokens[rng.below(kCount)];
+      }
+    }
+    try {
+      // Accepted only verbatim: the spelling must be the policy's own.
+      ASSERT_EQ(to_string(parse_router_policy(soup)), soup)
+          << "seed " << seed;
+    } catch (const PreconditionError&) {
+      // The only rejection allowed.
+    } catch (const std::exception& e) {
+      FAIL() << "seed " << seed << ": policy '" << soup
+             << "' threw a non-precondition error: " << e.what();
+    }
+  }
 }
 
 TEST(RouterPolicy, EnvKnobSelectsThePolicy) {

@@ -466,6 +466,8 @@ TEST(DeviceFaults, CuDeathCancelsTheRangeAndIsOneShot) {
     args.set(0, &buffer);
     const NDRange range{64, 4};  // 16 groups: exercises the worker pool
 
+    const std::uint64_t enqueued = device.stats().kernels_enqueued;
+    const std::uint64_t groups = device.stats().work_groups_executed;
     try {
       queue.enqueue_ndrange(kernel, args, range);
       FAIL() << "expected TransientDeviceError (units=" << units << ")";
@@ -474,6 +476,11 @@ TEST(DeviceFaults, CuDeathCancelsTheRangeAndIsOneShot) {
       // cu folded modulo the actual unit count.
       EXPECT_EQ(error.context().cu, units == 1 ? 0u : 1u);
     }
+    // One contract on every unit count: the launch fails before any
+    // work-group runs, so neither counter moves.
+    EXPECT_EQ(device.stats().kernels_enqueued, enqueued) << "units=" << units;
+    EXPECT_EQ(device.stats().work_groups_executed, groups)
+        << "units=" << units;
     // One-shot: the retry runs to completion with correct results.
     queue.enqueue_ndrange(kernel, args, range);
     std::vector<double> out(64);

@@ -18,13 +18,15 @@
 // `binopt_cli serve-bench` drives a volatility-curve workload through the
 // async PricingService (concurrent submitters, micro-batching, quote
 // cache) and exits non-zero if any served price differs bitwise from a
-// direct PricingAccelerator run of the same curve.
+// direct PricingAccelerator run of the same curve or the service ledger
+// (src/core/service/ledger.h) does not balance.
 //
 // `binopt_cli chaos` prices a curve through the PricingService while a
 // deterministic fault plan (DESIGN.md §2.5) injects device failures into
 // every backend worker, and exits non-zero unless every price is bitwise
-// identical to the fault-free run, no request is lost, and any quarantined
-// backend recovered.
+// identical to the fault-free run, the service ledger balances (no request
+// lost, every shed counted per class), and any quarantined backend
+// recovered.
 //
 // `binopt_cli greeks-bench` prices a book of Greeks requests through the
 // GreeksService (DESIGN.md §2.9) on every backend target — cold and again
@@ -44,20 +46,22 @@
 // writes the whole session as Chrome trace_event JSON (open the file in
 // chrome://tracing or https://ui.perfetto.dev).
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <utility>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <limits>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "common/parse.h"
 #include "core/accelerator.h"
 #include "core/service/greeks_service.h"
+#include "core/service/ledger.h"
 #include "core/service/pricing_service.h"
 #include "finance/greeks.h"
 #include "finance/option.h"
@@ -282,30 +286,28 @@ int run_serve_bench(std::size_t num_options, std::size_t steps,
   // With the overload layer armed, each submission carries its mix-assigned
   // priority class and a shed submission is retried after a short backoff
   // (the canonical client response to ServiceOverloadError), so the parity
-  // check below still covers every index.
-  std::vector<double> served(curve.size());
-  std::vector<char> browned(curve.size(), 0);
-  std::atomic<std::uint64_t> sheds_retried{0};
+  // check covers every index. Each submitter keeps its own ledger.
+  std::vector<core::service::ServiceLedger> ledgers(submitters);
   const auto cold_start = Clock::now();
   {
     std::vector<std::thread> threads;
     threads.reserve(submitters);
     for (std::size_t t = 0; t < submitters; ++t) {
       threads.emplace_back([&, t] {
+        core::service::ServiceLedger& mine = ledgers[t];
         for (std::size_t i = t; i < curve.size(); i += submitters) {
+          const core::Priority priority = mix.pick(i);
           for (;;) {
+            ++mine[priority].issued;
             try {
               // Negative timeout = no deadline; only the class changes.
-              const core::Quote quote =
-                  service
-                      .submit(curve[i], std::chrono::milliseconds{-1},
-                              /*cache_tag=*/0, mix.pick(i))
-                      .get();
-              served[i] = quote.price;
-              browned[i] = quote.browned_out ? 1 : 0;
+              std::future<core::Quote> future =
+                  service.submit(curve[i], std::chrono::milliseconds{-1},
+                                 /*cache_tag=*/0, priority);
+              mine.settle(priority, future, reference[i]);
               break;
             } catch (const core::ServiceOverloadError&) {
-              sheds_retried.fetch_add(1);
+              ++mine[priority].shed;
               std::this_thread::sleep_for(std::chrono::microseconds{200});
             }
           }
@@ -324,6 +326,10 @@ int run_serve_bench(std::size_t num_options, std::size_t steps,
   const double warm_s =
       std::chrono::duration<double>(Clock::now() - warm_start).count();
 
+  core::service::ServiceLedger ledger;
+  for (const core::service::ServiceLedger& mine : ledgers) ledger += mine;
+  ledger.complete_batch(core::Priority::kNormal, warm, reference);
+  const core::service::ClassTally total = ledger.total();
   const auto stats = service.stats();
   std::printf("  cold pass : %10.1f options/s (%.3f s)\n",
               static_cast<double>(curve.size()) / cold_s, cold_s);
@@ -356,14 +362,12 @@ int run_serve_bench(std::size_t num_options, std::size_t steps,
               static_cast<unsigned long long>(
                   stats.admission_block_ns.count()));
   if (overload.enabled()) {
-    std::printf("  overload  : %llu shed (%llu normal / %llu batch, %llu "
-                "client retries), %llu admission timeouts, %llu eager "
-                "drops, %llu browned-out\n",
-                static_cast<unsigned long long>(stats.requests_shed_normal +
-                                                stats.requests_shed_batch),
+    std::printf("  overload  : %llu normal / %llu batch shed (%llu client "
+                "retries), %llu admission timeouts, %llu eager drops, %llu "
+                "browned-out\n",
                 static_cast<unsigned long long>(stats.requests_shed_normal),
                 static_cast<unsigned long long>(stats.requests_shed_batch),
-                static_cast<unsigned long long>(sheds_retried.load()),
+                static_cast<unsigned long long>(total.shed),
                 static_cast<unsigned long long>(stats.admission_timeouts),
                 static_cast<unsigned long long>(stats.eager_deadline_drops),
                 static_cast<unsigned long long>(stats.brownout_completions));
@@ -372,26 +376,11 @@ int run_serve_bench(std::size_t num_options, std::size_t steps,
 
   // Browned-out quotes are excluded from bitwise parity by contract (the
   // Quote says so itself); everything else must match to the last bit.
-  std::size_t mismatches = 0;
-  std::size_t browned_total = 0;
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    if (browned[i] != 0) {
-      ++browned_total;
-    } else if (served[i] != reference[i]) {
-      ++mismatches;
-    }
-    if (warm[i] != reference[i]) ++mismatches;
-  }
-  if (mismatches != 0) {
-    std::fprintf(stderr,
-                 "serve-bench FAILED: %zu of %zu prices differ from the "
-                 "direct accelerator run\n",
-                 mismatches, curve.size());
-    return 1;
-  }
+  if (!ledger.passes(stats, "serve-bench")) return 1;
   std::printf("serve-bench passed: %zu prices bit-identical to the direct "
-              "run on both passes (%zu browned-out, excluded by contract)\n",
-              curve.size(), browned_total);
+              "run on both passes (%llu browned-out, excluded by contract)\n",
+              curve.size(),
+              static_cast<unsigned long long>(total.browned_out));
   return 0;
 }
 
@@ -446,37 +435,33 @@ int run_chaos(std::size_t num_options, std::size_t steps, core::Target target,
   // request hangs .get() (never happens) and a double resolution would
   // throw inside the service — conservation is checked per request. With
   // shedding armed a submission may instead be refused at admission with
-  // ServiceOverloadError before a future exists; those are tallied and
-  // must still balance the books below.
+  // ServiceOverloadError before a future exists; those are tallied per
+  // class and must still balance the ledger.
   const auto start = Clock::now();
-  std::vector<std::pair<std::size_t, std::future<core::Quote>>> futures;
+  core::service::ServiceLedger ledger;
+  std::vector<std::tuple<std::size_t, core::Priority,
+                         std::future<core::Quote>>>
+      futures;
   futures.reserve(curve.size());
-  std::size_t shed = 0;
   for (std::size_t i = 0; i < curve.size(); ++i) {
+    const core::Priority priority = mix.pick(i);
+    ++ledger[priority].issued;
     try {
       futures.emplace_back(
-          i, service.submit(curve[i], std::chrono::milliseconds{-1},
-                            /*cache_tag=*/0, mix.pick(i)));
+          i, priority,
+          service.submit(curve[i], std::chrono::milliseconds{-1},
+                         /*cache_tag=*/0, priority));
     } catch (const core::ServiceOverloadError&) {
-      ++shed;
+      ++ledger[priority].shed;
     }
   }
-
-  std::size_t mismatches = 0;
-  std::size_t failed = 0;
-  for (auto& [index, future] : futures) {
-    try {
-      const core::Quote quote = future.get();
-      if (!quote.browned_out && quote.price != reference[index]) {
-        ++mismatches;
-      }
-    } catch (const Error&) {
-      ++failed;
-    }
+  for (auto& [index, priority, future] : futures) {
+    ledger.settle(priority, future, reference[index]);
   }
   const double elapsed_s =
       std::chrono::duration<double>(Clock::now() - start).count();
 
+  const core::service::ClassTally total = ledger.total();
   const auto stats = service.stats();
   std::printf("  served    : %10.1f options/s (%.3f s)\n",
               static_cast<double>(curve.size()) / elapsed_s, elapsed_s);
@@ -495,9 +480,9 @@ int run_chaos(std::size_t num_options, std::size_t steps, core::Target target,
                 stats.time_to_recovery_ns.p50() / 1e6);
   }
   if (overload.enabled()) {
-    std::printf("  overload  : %zu shed at admission (%llu normal / %llu "
+    std::printf("  overload  : %llu shed at admission (%llu normal / %llu "
                 "batch), %llu eager drops, %llu browned-out\n",
-                shed,
+                static_cast<unsigned long long>(total.shed),
                 static_cast<unsigned long long>(stats.requests_shed_normal),
                 static_cast<unsigned long long>(stats.requests_shed_batch),
                 static_cast<unsigned long long>(stats.eager_deadline_drops),
@@ -505,112 +490,41 @@ int run_chaos(std::size_t num_options, std::size_t steps, core::Target target,
   }
   print_router_summary(stats, config);
 
-  bool ok = true;
-  if (mismatches != 0) {
-    std::fprintf(stderr,
-                 "chaos FAILED: %zu of %zu prices differ from the "
-                 "fault-free direct run\n",
-                 mismatches, curve.size());
-    ok = false;
-  }
-  if (failed != 0) {
-    std::fprintf(stderr,
-                 "chaos FAILED: %zu of %zu requests errored (retry budget "
-                 "exhausted under this plan?)\n",
-                 failed, curve.size());
-    ok = false;
-  }
-  // Conservation with shedding in the ledger: every issued request is
-  // either refused at admission (shed, before a future exists) or
-  // submitted — and every submitted request resolves exactly one way.
-  if (stats.requests_completed + stats.requests_failed +
-          stats.requests_timed_out !=
-      stats.requests_submitted) {
-    std::fprintf(stderr, "chaos FAILED: request conservation violated "
-                         "(completed + failed + timed_out != submitted)\n");
-    ok = false;
-  }
-  if (stats.requests_submitted != curve.size() - shed ||
-      stats.requests_shed_normal + stats.requests_shed_batch != shed) {
-    std::fprintf(stderr,
-                 "chaos FAILED: shed ledger violated (client saw %zu sheds, "
-                 "service counted %llu; submitted %llu of %zu issued)\n",
-                 shed,
-                 static_cast<unsigned long long>(stats.requests_shed_normal +
-                                                 stats.requests_shed_batch),
-                 static_cast<unsigned long long>(stats.requests_submitted),
-                 curve.size());
-    ok = false;
-  }
+  // The reference is the fault-free direct run; a failed request means the
+  // retry budget ran out under this plan.
+  bool ok = ledger.passes(stats, "chaos");
   if (stats.quarantines_entered > 0 && stats.recoveries == 0) {
     std::fprintf(stderr, "chaos FAILED: a backend was quarantined and "
                          "never recovered\n");
     ok = false;
   }
   if (!ok) return 1;
-  std::printf("chaos passed: %zu prices bit-identical under injected "
-              "faults, zero requests lost (%zu shed at admission, all "
+  std::printf("chaos passed: %llu prices bit-identical under injected "
+              "faults, zero requests lost (%llu shed at admission, all "
               "accounted)\n",
-              curve.size() - shed, shed);
+              static_cast<unsigned long long>(total.completed),
+              static_cast<unsigned long long>(total.shed));
   return 0;
 }
 
-/// Field-by-field bitwise comparison of two Greeks; returns the number of
-/// differing fields (0 when identical to the last bit).
-std::size_t greeks_mismatch(const finance::Greeks& a,
-                            const finance::Greeks& b) {
-  std::size_t n = 0;
-  n += a.price != b.price;
-  n += a.delta != b.delta;
-  n += a.gamma != b.gamma;
-  n += a.theta != b.theta;
-  n += a.vega != b.vega;
-  n += a.rho != b.rho;
-  return n;
-}
-
-/// The greeks-bench mode: for each target, assemble a direct reference
-/// (shared lattice front + bump set, legs priced by a private accelerator
-/// run of the whole leg list), then hold the GreeksService to bitwise
-/// parity on a cold pass and a cache-replay pass. On the CPU reference the
-/// service must additionally match finance::binomial_greeks literally.
+/// The greeks-bench mode: for each target, build the direct reference
+/// (core::service::direct_greeks), then hold the GreeksService to bitwise
+/// parity on a cold pass and a cache-replay pass, and its four legs per
+/// request to the ledger. On the CPU reference the service must
+/// additionally match finance::binomial_greeks literally.
 int run_greeks_bench(std::size_t num_requests, std::size_t steps,
                      std::size_t cache_capacity,
                      const std::vector<core::Target>& targets) {
   using Clock = std::chrono::steady_clock;
   const auto book = finance::make_curve_batch(num_requests);
 
-  // The bump sets (and the host-side lattice fronts) are target-independent;
-  // only the four leg prices differ per target.
-  std::vector<finance::GreeksBumpSet> sets;
-  sets.reserve(book.size());
-  std::vector<finance::OptionSpec> legs;
-  legs.reserve(4 * book.size());
-  std::vector<finance::LatticeFront> fronts;
-  fronts.reserve(book.size());
-  for (const finance::OptionSpec& spec : book) {
-    sets.push_back(finance::GreeksBumpSet::from(spec, steps));
-    legs.push_back(sets.back().vega_up);
-    legs.push_back(sets.back().vega_down);
-    legs.push_back(sets.back().rho_up);
-    legs.push_back(sets.back().rho_down);
-    fronts.push_back(finance::lattice_front_greeks(spec, steps));
-  }
-
   std::printf("greeks-bench: %zu requests (%zu legs), %zu steps, cache %zu\n",
-              book.size(), legs.size(), steps, cache_capacity);
+              book.size(), 4 * book.size(), steps, cache_capacity);
 
-  std::size_t total_mismatches = 0;
+  bool ok = true;
   for (const core::Target target : targets) {
-    core::PricingAccelerator direct({target, steps, /*compute_rmse=*/false});
-    const std::vector<double> leg_prices = direct.run(legs).prices;
-    std::vector<finance::Greeks> reference;
-    reference.reserve(book.size());
-    for (std::size_t i = 0; i < book.size(); ++i) {
-      reference.push_back(finance::assemble_greeks(
-          fronts[i], sets[i], leg_prices[4 * i], leg_prices[4 * i + 1],
-          leg_prices[4 * i + 2], leg_prices[4 * i + 3]));
-    }
+    const std::vector<finance::Greeks> reference =
+        core::service::direct_greeks(target, steps, book);
 
     core::ServiceConfig config;
     config.targets = {target};
@@ -630,37 +544,32 @@ int run_greeks_bench(std::size_t num_requests, std::size_t steps,
     const double warm_s =
         std::chrono::duration<double>(Clock::now() - warm_start).count();
 
-    std::size_t mismatches = 0;
+    // Four legs per request, on both passes.
+    constexpr core::Priority kLegs = core::Priority::kNormal;
+    core::service::ServiceLedger ledger;
+    ledger.complete_unchecked(kLegs, 2 * 4 * book.size());
     for (std::size_t i = 0; i < book.size(); ++i) {
-      mismatches += greeks_mismatch(cold[i].greeks, reference[i]);
-      mismatches += greeks_mismatch(warm[i].greeks, reference[i]);
+      ledger.expect_parity(kLegs, cold[i].greeks, reference[i]);
+      ledger.expect_parity(kLegs, warm[i].greeks, reference[i]);
       if (target == core::Target::kCpuReference) {
         // The literal direct-function gate: on the reference target the
         // whole composition collapses back to binomial_greeks, bit for bit.
-        mismatches +=
-            greeks_mismatch(cold[i].greeks, finance::binomial_greeks(
-                                                book[i], steps));
+        ledger.expect_parity(kLegs, cold[i].greeks,
+                             finance::binomial_greeks(book[i], steps));
       }
     }
-    total_mismatches += mismatches;
-
     const auto stats = service.stats();
+    const bool target_ok = ledger.passes(stats, "greeks-bench");
+    ok = ok && target_ok;
     std::printf("  %-22s: %8.1f greeks/s cold, %8.1f warm, "
                 "%llu cache hits%s\n",
                 core::to_string(target).c_str(),
                 static_cast<double>(book.size()) / cold_s,
                 static_cast<double>(book.size()) / warm_s,
                 static_cast<unsigned long long>(stats.cache_hits),
-                mismatches == 0 ? "" : "  MISMATCH");
+                target_ok ? "" : "  MISMATCH");
   }
-
-  if (total_mismatches != 0) {
-    std::fprintf(stderr,
-                 "greeks-bench FAILED: %zu Greeks fields differ from the "
-                 "direct per-target reference\n",
-                 total_mismatches);
-    return 1;
-  }
+  if (!ok) return 1;
   std::printf("greeks-bench passed: %zu requests bit-identical to the "
               "direct reference on %zu target(s), cold and cached\n",
               book.size(), targets.size());
@@ -680,8 +589,8 @@ std::vector<double> centered_axis(std::size_t points, double step) {
 }
 
 /// The sweep mode: one scenario sweep run cold, replayed on the same
-/// epoch, and re-run on a bumped epoch, with the epoch-cache and
-/// conservation contracts enforced as exit-status gates.
+/// epoch, and re-run on a bumped epoch, with the epoch-cache contract and
+/// the ledger enforced as exit-status gates.
 int run_sweep(std::size_t book_size, std::size_t spots, std::size_t vols,
               std::size_t rates, std::size_t steps, core::Target target,
               std::size_t cache_capacity) {
@@ -778,17 +687,10 @@ int run_sweep(std::size_t book_size, std::size_t spots, std::size_t vols,
                          "nothing — stale surface served from cache\n");
     ok = false;
   }
-  if (delta.requests_submitted != 3 * total_legs ||
-      delta.requests_completed != delta.requests_submitted ||
-      delta.requests_failed != 0 || delta.requests_timed_out != 0) {
-    std::fprintf(stderr,
-                 "sweep FAILED: request conservation violated "
-                 "(%llu submitted, %llu completed, %llu failed)\n",
-                 static_cast<unsigned long long>(delta.requests_submitted),
-                 static_cast<unsigned long long>(delta.requests_completed),
-                 static_cast<unsigned long long>(delta.requests_failed));
-    ok = false;
-  }
+  // Every leg of the three passes was issued and came back priced.
+  core::service::ServiceLedger ledger;
+  ledger.complete_unchecked(core::Priority::kNormal, 3 * total_legs);
+  ok = ledger.passes(delta, "sweep") && ok;
   if (!ok) return 1;
   std::printf("sweep passed: %zu legs/sweep, unchanged epoch re-priced "
               "nothing, bumped epoch re-priced, every request conserved\n",
@@ -1091,13 +993,13 @@ double parse_double(const char* flag, const char* value) {
 }
 
 std::size_t parse_size(const char* flag, const char* value) {
-  const double parsed = parse_double(flag, value);
-  if (parsed < 0 || parsed != static_cast<double>(
-                                  static_cast<std::size_t>(parsed))) {
-    fail(std::string("expected a non-negative integer for ") + flag + ": " +
-         value);
+  if (const auto parsed =
+          parse_unsigned(value, 0, std::numeric_limits<std::size_t>::max())) {
+    return static_cast<std::size_t>(*parsed);
   }
-  return static_cast<std::size_t>(parsed);
+  (void)parse_double(flag, value);  // not a number at all: "malformed value"
+  fail(std::string("expected a non-negative integer for ") + flag + ": " +
+       value);
 }
 
 int main_serve_bench(int argc, char** argv) {
@@ -1423,7 +1325,7 @@ int main(int argc, char** argv) {
         fail(std::string("unknown exercise style: ") + value);
       }
     } else if (flag == "--steps") {
-      steps = static_cast<std::size_t>(parse_double("--steps", value));
+      steps = parse_size("--steps", value);
       steps_given = true;
     } else if (flag == "--target") {
       if (!parse_target(value, target)) {
