@@ -508,8 +508,12 @@ int main(int argc, char** argv) {
     }
     return static_cast<std::size_t>(*parsed);
   };
-  for (int i = 1; i + 1 < argc; i += 2) {
+  for (int i = 1; i < argc; i += 2) {
     const std::string flag = argv[i];
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", flag.c_str());
+      return 2;
+    }
     const char* value = argv[i + 1];
     if (flag == "--options") {
       num_options = count(flag, value);
@@ -527,7 +531,15 @@ int main(int argc, char** argv) {
     else if (flag == "--requests") soak_requests = count(flag, value);
     else if (flag == "--sweep") sweep_text = value;
     else if (flag == "--priority-mix") mix_text = value;
-    else if (flag == "--shed-watermark") shed_watermark = std::strtod(value, nullptr);
+    else if (flag == "--shed-watermark") {
+      try {
+        shed_watermark = core::service::parse_shed_watermark(value);
+      } catch (const std::exception&) {
+        std::fprintf(stderr, "bad --shed-watermark '%s' (expected a "
+                     "fraction in (0, 1])\n", value);
+        return 2;
+      }
+    }
     else if (flag == "--sojourn-target-us") sojourn_target_us = static_cast<long>(count(flag, value));
     else if (flag == "--timeout-ms") timeout_ms = static_cast<long>(count(flag, value));
     else if (flag == "--brownout") brownout = count(flag, value) != 0;
@@ -604,11 +616,10 @@ int main(int argc, char** argv) {
       cursor = end;
       if (*cursor == ',') ++cursor;
     }
-    if (sweep.empty() || shed_watermark <= 0.0 || shed_watermark > 1.0 ||
-        sojourn_target_us <= 0 || timeout_ms <= 0) {
+    if (sweep.empty() || sojourn_target_us <= 0 || timeout_ms <= 0) {
       std::fprintf(stderr,
-                   "soak needs a non-empty --sweep, --shed-watermark in "
-                   "(0,1], and positive --sojourn-target-us/--timeout-ms\n");
+                   "soak needs a non-empty --sweep and positive "
+                   "--sojourn-target-us/--timeout-ms\n");
       return 2;
     }
 

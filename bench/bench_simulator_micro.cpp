@@ -1,5 +1,6 @@
 // Micro-benchmarks of the simulation substrate itself (google-benchmark):
-// the reference pricer's node-update rate, barrier crossings and the
+// the reference pricer's node-update rate, the CPU batch pricer's cost
+// per launch size, barrier crossings and the
 // per-call floor of the phased executor, the approximate math operators,
 // the compute-unit scheduler, and the end-to-end functional kernels. These
 // measure the host running the simulator, not the paper's hardware — they
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "finance/binomial.h"
+#include "finance/binomial_batch.h"
 #include "finance/workload.h"
 #include "fpga/approx_math.h"
 #include "kernels/kernel_a.h"
@@ -36,6 +38,33 @@ void BM_ReferencePricer(benchmark::State& state) {
       benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_ReferencePricer)->Arg(128)->Arg(1024);
+
+// The CPU batch pricer (runtime-dispatched, AVX2 where available) on Arg
+// options of 1024 steps per call: the launch sizes the service's CPU
+// workers see. With SIMD on, 1-4 options cost one 4-lane sweep, so
+// ns_per_option falls as a call fills its lanes.
+void BM_BatchPricer(benchmark::State& state) {
+  constexpr std::size_t kSteps = 1024;
+  const auto options = static_cast<std::size_t>(state.range(0));
+  finance::BatchPricer pricer(kSteps);
+  const auto batch = finance::make_random_batch(options, 5);
+  std::vector<double> out(options);
+  const auto t0 = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    pricer.price_into(batch.data(), options, out.data());
+    benchmark::DoNotOptimize(out.data());
+  }
+  const auto t1 = std::chrono::steady_clock::now();
+  const double priced = static_cast<double>(options) *
+                        static_cast<double>(state.iterations());
+  state.counters["ns_per_option"] =
+      std::chrono::duration<double, std::nano>(t1 - t0).count() /
+      std::max(1.0, priced);
+  state.SetLabel(finance::BatchPricer::simd_enabled() ? "simd" : "scalar");
+}
+BENCHMARK(BM_BatchPricer)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(5)->Arg(8)
+    ->Unit(benchmark::kMillisecond);
 
 // One group of Arg work-items crossing 16 barriers: a phased kernel of 17
 // phases whose body only reads its local id.

@@ -64,11 +64,23 @@ void BatchPricer::price_into(const OptionSpec* specs, std::size_t n,
                              double* out) {
   BINOPT_REQUIRE(specs != nullptr || n == 0, "null spec array");
   BINOPT_REQUIRE(out != nullptr || n == 0, "null output array");
-  std::size_t i = 0;
-  if (simd_enabled() && n >= 4) {
-    for (; i + 4 <= n; i += 4) price_group4(specs + i, out + i);
+  if (!simd_enabled()) {
+    for (std::size_t i = 0; i < n; ++i) price_scalar(specs[i], out + i);
+    return;
   }
-  for (; i < n; ++i) price_scalar(specs[i], out + i);
+  const std::size_t full = n - n % 4;
+  for (std::size_t i = 0; i < full; i += 4) price_group4(specs + i, out + i);
+  if (full == n) return;
+  // The 1-3 option tail is one padded sweep: spare lanes repeat the last
+  // real spec, and every AVX2 op is lane-wise, so a pad lane never
+  // touches a real lane's bits. Only the real lanes are copied back.
+  OptionSpec pad[4];
+  double pad_out[4];
+  for (std::size_t lane = 0; lane < 4; ++lane) {
+    pad[lane] = specs[std::min(full + lane, n - 1)];
+  }
+  price_group4(pad, pad_out);
+  std::copy(pad_out, pad_out + (n - full), out + full);
 }
 
 void BatchPricer::price_group4(const OptionSpec* specs, double* out4) {

@@ -20,7 +20,8 @@
 // Dispatch is resolved at runtime: AVX2 present -> vector kernel, else
 // (or with BINOPT_SIMD=off, or via set_simd_override) the scalar fallback
 // — the same code shape with reused scratch, so the fallback allocates
-// nothing in steady state either.
+// nothing in steady state either. With SIMD on, a launch of 1-4 options
+// costs one 4-lane sweep; the scalar path runs only with SIMD off.
 #pragma once
 
 #include <cstddef>
@@ -69,8 +70,10 @@ public:
   [[nodiscard]] std::size_t steps() const { return steps_; }
 
   /// Prices specs[0..n) into out[0..n); every price is bit-identical to
-  /// BinomialPricer(steps).price(specs[i]). Scratch is reused across
-  /// calls, so steady-state invocations perform no heap allocation.
+  /// BinomialPricer(steps).price(specs[i]). With SIMD on, the n % 4 tail
+  /// is one 4-lane sweep padded with copies of the last spec; specs are
+  /// validated in submission order on either path. Scratch is reused
+  /// across calls, so steady-state invocations perform no heap allocation.
   void price_into(const OptionSpec* specs, std::size_t n, double* out);
 
   /// AVX2 present on this CPU.

@@ -19,6 +19,7 @@
 
 #include "core/accelerator.h"
 #include "core/service/pricing_service.h"
+#include "finance/binomial_batch.h"
 #include "finance/workload.h"
 #include "kernels/kernel_b.h"
 #include "ocl/context.h"
@@ -252,6 +253,29 @@ TEST(AllocHotPath, StatsStillTrackZeroAllocTraffic) {
   EXPECT_EQ(stats.request_latency_ns.count(), specs.size());
   EXPECT_EQ(stats.queue_wait_ns.count(), specs.size());
   EXPECT_GE(stats.batches_launched, 1u);
+}
+
+TEST(AllocHotPath, BatchPricerPaddedTailMakesZeroHeapAllocations) {
+  // A 3-option batch is one padded 4-lane sweep when SIMD is on; the pad
+  // specs and their results live on the stack, so a warmed pricer still
+  // never touches the heap (the scalar fallback reuses its scratch too).
+  const auto specs = finance::make_curve_batch(3);
+  finance::BatchPricer pricer(kSteps);
+  double out[3] = {};
+  pricer.price_into(specs.data(), specs.size(), out);  // warm-up
+
+  const std::uint64_t before =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  constexpr int kMeasuredReps = 100;
+  for (int i = 0; i < kMeasuredReps; ++i) {
+    pricer.price_into(specs.data(), specs.size(), out);
+  }
+  const std::uint64_t after =
+      g_heap_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << (after - before) << " allocations across " << kMeasuredReps
+      << " 3-option batches (simd "
+      << (finance::BatchPricer::simd_enabled() ? "on" : "off") << ")";
 }
 
 TEST(AllocHotPath, PhasedKernelGroupsMakeZeroHeapAllocations) {

@@ -2,14 +2,19 @@
 // prices BIT-IDENTICAL to the scalar BinomialPricer for the double path,
 // across option types, exercise styles, batch tails (n % 4 != 0), and
 // dispatch modes. Also covers the runtime SIMD dispatch knobs
-// (set_simd_override, BINOPT_SIMD env).
+// (set_simd_override, BINOPT_SIMD env) and the padded 4-lane tail: with
+// SIMD on, a batch of 1-3 options (or the n % 4 remainder) is one sweep
+// whose spare lanes repeat the last real spec.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <vector>
 
+#include "common/error.h"
+#include "core/accelerator.h"
 #include "finance/binomial.h"
 #include "finance/binomial_batch.h"
 #include "finance/workload.h"
@@ -168,6 +173,90 @@ TEST(BatchPricer, ReusedPricerStaysBitExactAcrossCalls) {
   batch.price_into(second.data(), second.size(), out2.data());
   expect_bitwise_equal(out1, scalar_reference(first));
   expect_bitwise_equal(out2, scalar_reference(second));
+}
+
+TEST(BatchPricer, PaddedTailMatchesBinomialPricerForEveryLengthAndOffset) {
+  if (!BatchPricer::simd_available()) {
+    GTEST_SKIP() << "host CPU has no AVX2";
+  }
+  OverrideGuard guard;
+  BatchPricer::set_simd_override(1);
+  // mixed_batch cycles call/put (i % 2) and European/American (i % 3), so
+  // offsets 0..3 put every type x style combination in every lane,
+  // padded tail lanes included.
+  const auto specs = mixed_batch(12);
+  const auto want_all = scalar_reference(specs);
+  BatchPricer batch(kSteps);
+  for (std::size_t offset = 0; offset < 4; ++offset) {
+    for (std::size_t n = 1; n <= 9; ++n) {
+      SCOPED_TRACE(::testing::Message() << "offset " << offset << " n " << n);
+      std::vector<double> got(n + 1, -1.0);  // one sentinel past the batch
+      batch.price_into(specs.data() + offset, n, got.data());
+      EXPECT_EQ(got.back(), -1.0) << "a pad lane was written back";
+      got.pop_back();
+      const std::vector<double> want(want_all.begin() + offset,
+                                     want_all.begin() + offset + n);
+      expect_bitwise_equal(got, want);
+    }
+  }
+}
+
+/// The message price_into throws for `specs` under the given dispatch
+/// mode, or "" if it prices without throwing.
+std::string precondition_message(const std::vector<OptionSpec>& specs,
+                                 int simd_mode) {
+  BatchPricer::set_simd_override(simd_mode);
+  BatchPricer batch(kSteps);
+  std::vector<double> out(specs.size());
+  try {
+    batch.price_into(specs.data(), specs.size(), out.data());
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(BatchPricer, InvalidSpecInThePaddedTailThrowsLikeTheScalarPath) {
+  if (!BatchPricer::simd_available()) {
+    GTEST_SKIP() << "host CPU has no AVX2";
+  }
+  OverrideGuard guard;
+  for (const std::size_t n : {1U, 2U, 3U, 5U, 6U, 7U}) {
+    // Every tail position, including the last real lane the pad copies.
+    for (std::size_t bad = n - n % 4; bad < n; ++bad) {
+      SCOPED_TRACE(::testing::Message() << "n " << n << " bad " << bad);
+      auto specs = mixed_batch(n);
+      specs[bad].volatility = -0.2;
+      const std::string scalar = precondition_message(specs, 0);
+      ASSERT_FALSE(scalar.empty());
+      EXPECT_EQ(precondition_message(specs, 1), scalar);
+    }
+  }
+}
+
+TEST(BatchPricer, SinglePrecisionReferenceTargetPricesTailsLikeTheScalarPath) {
+  if (!BatchPricer::simd_available()) {
+    GTEST_SKIP() << "host CPU has no AVX2";
+  }
+  OverrideGuard guard;
+  BatchPricer::set_simd_override(1);
+  core::PricingAccelerator::Config config;
+  config.target = core::Target::kCpuReferenceSingle;
+  config.steps = kSteps;
+  config.compute_rmse = false;
+  core::PricingAccelerator accelerator(config);
+  const auto specs = mixed_batch(5);
+  const auto scalar = scalar_reference(specs);
+  for (std::size_t n = 1; n <= 5; ++n) {
+    SCOPED_TRACE(::testing::Message() << "n " << n);
+    std::vector<double> got(n);
+    accelerator.run_prices(specs.data(), n, got.data());
+    std::vector<double> want(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      want[i] = static_cast<float>(scalar[i]);
+    }
+    expect_bitwise_equal(got, want);
+  }
 }
 
 }  // namespace
